@@ -2,15 +2,20 @@
 
 Ablation 1 of DESIGN.md: the schedule validator is the optimizers' inner
 loop — ``test_full_validation`` vs. ``test_window_validation`` quantifies
-what the window-replay shortcut buys. Ablation 3: nearest-source queries
-under the two state representations.
+what the touched-row window proof buys. Ablation 3: nearest-source
+queries under the two state representations.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import get_builder
-from repro.core.optimizers.common import ArrayState, capture_states, window_valid
+from repro.core.optimizers.common import (
+    ActionColumns,
+    ArrayState,
+    Edit,
+    transfer_row,
+)
 from repro.model.state import SystemState
 from repro.network.brite import brite_paper_topology
 from repro.network.paths import all_pairs_shortest_paths
@@ -39,14 +44,31 @@ def test_full_validation(benchmark, instance, schedule):
 
 
 def test_window_validation(benchmark, instance, schedule):
-    """Window replay of the last 32 actions from a captured prefix —
-    the per-candidate cost inside H1/H2/OP1 after the rewrite."""
+    """Touched-row proof of H1's plain move (case i) for the last dummy
+    transfer, to just before the nearest preceding deletion of its
+    object — the per-candidate cost inside H1/H2 after the rewrite.
+
+    The proof must agree with a full replay of the rewritten window over
+    a full state, and must leave the cached start rows untouched.
+    """
+    columns = ActionColumns.from_schedule(instance, schedule)
+    p = columns.dummy_positions()[-1]
+    _, i, k, _ = columns.row(p)
+    q = next(
+        x for x in columns.deletion_positions_before(p, k) if columns.row(x)[1] != i
+    )
+    edit = Edit(q, p + 1, (transfer_row(i, k, columns.row(q)[1]),), {p: ()})
+    start_rows = {r: columns.row_before(q, r) for r in (i, columns.row(q)[1])}
+
+    ok = benchmark(columns.proves, edit)
+
     actions = schedule.actions()
-    start = max(0, len(actions) - 32)
-    snapshot = capture_states(instance, actions, [start])[start]
-    window = actions[start:]
-    ok = benchmark(window_valid, snapshot, window)
-    assert ok
+    state = ArrayState(instance)
+    for action in actions[:q]:
+        state.apply(action)
+    window = columns.apply(edit).to_schedule().actions()[q : p + 1]
+    assert ok == all(state.try_apply(a) for a in window)
+    assert {r: columns.row_before(q, r) for r in start_rows} == start_rows
 
 
 def test_state_apply_throughput(benchmark, instance, schedule):

@@ -16,8 +16,9 @@ constraint, which H1 repairs in three escalating ways (paper cases i–iii):
       ever-shrinking window. Failing that, backtrack and leave the
       original dummy transfer in place.
 
-Every candidate is proven by replaying its rewrite window (see
-:mod:`repro.core.optimizers.common` for why window validity implies
+Every candidate is an :class:`~repro.core.optimizers.common.Edit` of the
+schedule's int32 action columns, proven by a touched-row replay of its
+window (see :mod:`repro.core.optimizers.common` for why that decides
 whole-schedule validity), and every accepted rewrite converts exactly one
 dummy transfer into a real one, so the optimizer terminates with a valid
 schedule whose dummy count never increases.
@@ -25,20 +26,16 @@ schedule whose dummy count never increases.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional
 
 from repro.core.base import ScheduleOptimizer, register_optimizer
 from repro.core.optimizers.common import (
-    ArrayState,
-    blocking_transfer,
-    capture_states,
-    count_dummies,
-    deletion_positions_before,
-    is_standalone_deletion,
-    server_deletions_between,
-    window_valid,
+    ActionColumns,
+    Edit,
+    Row,
+    remove_dummies,
+    transfer_row,
 )
-from repro.model.actions import Action, Delete, Transfer
 from repro.model.instance import RtspInstance
 from repro.model.schedule import Schedule
 
@@ -77,127 +74,73 @@ class H1MoveDummyTransfers(ScheduleOptimizer):
     def optimize(
         self, instance: RtspInstance, schedule: Schedule, rng=None
     ) -> Schedule:
-        actions = schedule.actions()
-        for _ in range(self.max_passes):
-            if count_dummies(instance, actions) == 0:
-                break
-            actions, progressed = self._sweep(instance, actions)
-            if not progressed:
-                break
-        return Schedule(actions)
-
-    def _sweep(
-        self, instance: RtspInstance, actions: List[Action]
-    ) -> Tuple[List[Action], bool]:
-        """One left-to-right pass attempting each dummy transfer once."""
-        progressed = False
-        attempted: Set[Tuple[int, int]] = set()
-        dummy = instance.dummy
-        while True:
-            target_pos = None
-            for idx, a in enumerate(actions):
-                if (
-                    isinstance(a, Transfer)
-                    and a.source == dummy
-                    and (a.target, a.obj) not in attempted
-                ):
-                    attempted.add((a.target, a.obj))
-                    target_pos = idx
-                    break
-            if target_pos is None:
-                return actions, progressed
-            result = self._restore(instance, actions, target_pos, self.max_depth)
-            if result is not None:
-                actions = result
-                progressed = True
+        return remove_dummies(
+            instance,
+            schedule,
+            lambda columns, p: self._restore(columns, p, self.max_depth),
+            self.max_passes,
+        )
 
     # ------------------------------------------------------------------
     def _restore(
-        self,
-        instance: RtspInstance,
-        actions: List[Action],
-        p: int,
-        depth: int,
-    ) -> Optional[List[Action]]:
+        self, columns: ActionColumns, p: int, depth: int
+    ) -> Optional[ActionColumns]:
         """Try to eliminate the dummy transfer at ``p``.
 
-        Returns a complete rewritten action list whose dummy count is
+        Returns the columns of a rewritten schedule whose dummy count is
         strictly lower than the input's, or ``None``.
         """
-        t = actions[p]
-        assert isinstance(t, Transfer)
-        i, k = t.target, t.obj
-        destinations = deletion_positions_before(actions, p, k)[
+        _, i, k, _ = columns.row(p)
+        destinations = columns.deletion_positions_before(p, k)[
             : self.max_deletion_candidates
         ]
-        if not destinations:
-            return None
-        states = capture_states(instance, actions, destinations)
         for q in destinations:
-            deletion = actions[q]
-            assert isinstance(deletion, Delete)
-            j = deletion.server
+            j = columns.row(q)[1]
             if j == i:
                 continue
-            restored = Transfer(i, k, j)
-            state_q = states[q]
+            restored = transfer_row(i, k, j)
             # Case (i): plain move right before D_jk.
-            window = [restored] + list(actions[q:p])
-            if window_valid(state_q, window):
-                return list(actions[:q]) + window + list(actions[p + 1 :])
-            result = self._hoist_standalone(
-                instance, actions, p, q, restored, state_q
-            )
+            edit = Edit(q, p + 1, (restored,), {p: ()})
+            if columns.proves(edit):
+                return columns.apply(edit)
+            result = self._hoist_standalone(columns, p, q, restored)
             if result is not None:
                 return result
-            result = self._move_pairs(
-                instance, actions, p, q, restored, state_q, depth
-            )
+            result = self._move_pairs(columns, p, q, restored, depth)
             if result is not None:
                 return result
         return None
 
     # ------------------------------------------------------------------
     def _hoist_standalone(
-        self,
-        instance: RtspInstance,
-        actions: List[Action],
-        p: int,
-        q: int,
-        restored: Transfer,
-        state_q: ArrayState,
-    ) -> Optional[List[Action]]:
+        self, columns: ActionColumns, p: int, q: int, restored: Row
+    ) -> Optional[ActionColumns]:
         """Case (ii): hoist standalone deletions of the target to make room.
 
         Standalone deletions are tried in schedule order, accumulating one
         more per attempt until capacity suffices (the replay decides).
         """
-        i = restored.target
-        dels = server_deletions_between(actions, q, p, i)
-        standalone = [r for r in dels if is_standalone_deletion(actions, q, r)]
-        chosen: List[int] = []
+        i = restored[1]
+        dels = columns.server_deletions_between(q, p, i)
+        standalone = [r for r in dels if columns.is_standalone_deletion(q, r)]
+        replace = {p: ()}
+        head = ()
         for r in standalone:
-            chosen.append(r)
-            removed = set(chosen)
-            window = (
-                [actions[x] for x in chosen]
-                + [restored]
-                + [actions[x] for x in range(q, p) if x not in removed]
-            )
-            if window_valid(state_q, window):
-                return list(actions[:q]) + window + list(actions[p + 1 :])
+            replace[r] = ()
+            head += (columns.row(r),)
+            edit = Edit(q, p + 1, head + (restored,), dict(replace))
+            if columns.proves(edit):
+                return columns.apply(edit)
         return None
 
     def _move_pairs(
         self,
-        instance: RtspInstance,
-        actions: List[Action],
+        columns: ActionColumns,
         p: int,
         q: int,
-        restored: Transfer,
-        state_q: ArrayState,
+        restored: Row,
         depth: int,
-    ) -> Optional[List[Action]]:
+    ) -> Optional[ActionColumns]:
         """Case (iii): hoist a deletion together with its feeding transfer.
 
         For a deletion ``D_ik'`` whose replica is re-homed by a preceding
@@ -207,43 +150,37 @@ class H1MoveDummyTransfers(ScheduleOptimizer):
         restore *it* — the separating window shrinks at each level, so the
         recursion terminates; on failure everything backtracks.
         """
-        i = restored.target
-        dels = server_deletions_between(actions, q, p, i)
-        for r in dels:
-            if is_standalone_deletion(actions, q, r):
+        i = restored[1]
+        dummy = columns.start.dummy
+        for r in columns.server_deletions_between(q, p, i):
+            if columns.is_standalone_deletion(q, r):
                 continue  # handled by case (ii)
-            b = blocking_transfer(actions, q, r)
+            b = columns.blocking_transfer(q, r)
             if b is None:
                 continue  # blocked by a creation, not a re-homing: unmovable
-            feeding = actions[b]
-            assert isinstance(feeding, Transfer)
+            feeding, deletion = columns.row(b), columns.row(r)
             # Pair move: feeding transfer, then the deletion, then the
             # restored transfer, all placed before D_jk at q.
-            removed = {b, r}
-            window = [feeding, actions[r], restored] + [
-                actions[x] for x in range(q, p) if x not in removed
-            ]
-            if window_valid(state_q, window):
-                return list(actions[:q]) + window + list(actions[p + 1 :])
+            edit = Edit(
+                q, p + 1, (feeding, deletion, restored), {p: (), b: (), r: ()}
+            )
+            if columns.proves(edit):
+                return columns.apply(edit)
             if depth <= 0:
                 continue
             # Recursive variant (paper's H''): hoist the deletion, restore
             # our transfer, and leave the feeding transfer in place as a
             # *dummy* transfer to be restored recursively.
-            converted = Transfer(feeding.target, feeding.obj, instance.dummy)
-            window2 = [actions[r], restored] + [
-                (converted if x == b else actions[x])
-                for x in range(q, p)
-                if x != r
-            ]
-            if not window_valid(state_q, window2):
+            converted = transfer_row(feeding[1], feeding[2], dummy)
+            edit = Edit(q, p + 1, (deletion, restored), {p: (), r: (), b: (converted,)})
+            if not columns.proves(edit):
                 continue
-            staged = list(actions[:q]) + window2 + list(actions[p + 1 :])
+            staged = columns.apply(edit)
             # Position of the converted transfer: two actions were inserted
             # at q and only positions after b changed (r > b always).
             pos = b + 2
-            assert staged[pos] is converted
-            deeper = self._restore(instance, staged, pos, depth - 1)
+            assert staged.row(pos) == converted
+            deeper = self._restore(staged, pos, depth - 1)
             if deeper is not None:
                 return deeper
         return None

@@ -23,17 +23,18 @@ object by construction), so H2 monotonically decreases the dummy count.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.base import ScheduleOptimizer, register_optimizer
 from repro.core.optimizers.common import (
-    ArrayState,
-    capture_states,
-    count_dummies,
-    deletion_positions_before,
-    window_valid,
+    ActionColumns,
+    Edit,
+    delete_row,
+    remove_dummies,
+    transfer_row,
 )
-from repro.model.actions import Action, Delete, Transfer
 from repro.model.instance import RtspInstance
 from repro.model.schedule import Schedule
 
@@ -75,65 +76,24 @@ class H2CreateSuperfluousReplicas(ScheduleOptimizer):
     def optimize(
         self, instance: RtspInstance, schedule: Schedule, rng=None
     ) -> Schedule:
-        actions = schedule.actions()
-        for _ in range(self.max_passes):
-            if count_dummies(instance, actions) == 0:
-                break
-            actions, progressed = self._sweep(instance, actions)
-            if not progressed:
-                break
-        return Schedule(actions)
-
-    def _sweep(
-        self, instance: RtspInstance, actions: List[Action]
-    ) -> Tuple[List[Action], bool]:
-        progressed = False
-        attempted: Set[Tuple[int, int]] = set()
-        dummy = instance.dummy
-        while True:
-            target_pos = None
-            for idx, a in enumerate(actions):
-                if (
-                    isinstance(a, Transfer)
-                    and a.source == dummy
-                    and (a.target, a.obj) not in attempted
-                ):
-                    attempted.add((a.target, a.obj))
-                    target_pos = idx
-                    break
-            if target_pos is None:
-                return actions, progressed
-            result = self._restore(instance, actions, target_pos)
-            if result is not None:
-                actions = result
-                progressed = True
+        return remove_dummies(instance, schedule, self._restore, self.max_passes)
 
     # ------------------------------------------------------------------
-    def _restore(
-        self, instance: RtspInstance, actions: List[Action], p: int
-    ) -> Optional[List[Action]]:
-        t = actions[p]
-        assert isinstance(t, Transfer)
-        i_prime, k = t.target, t.obj
-        destinations = deletion_positions_before(actions, p, k)[
+    def _restore(self, columns: ActionColumns, p: int) -> Optional[ActionColumns]:
+        _, i_prime, k, _ = columns.row(p)
+        destinations = columns.deletion_positions_before(p, k)[
             : self.max_deletion_candidates
         ]
-        if not destinations:
-            return None
-        states = capture_states(instance, actions, destinations)
         for q in destinations:
-            deletion = actions[q]
-            assert isinstance(deletion, Delete)
-            source = deletion.server  # the paper's S_i''
-            state_q = states[q]
-            stages = self._stage_candidates(instance, i_prime, k, source, state_q)
+            source = columns.row(q)[1]  # the paper's S_i''
+            stages = self._stage_candidates(columns, i_prime, k, source, q)
             result = self._stage_on_free_server(
-                instance, actions, p, q, i_prime, k, source, state_q, stages
+                columns, p, q, i_prime, k, source, stages
             )
             if result is not None:
                 return result
             result = self._stage_with_space_making(
-                instance, actions, p, q, i_prime, k, source, state_q, stages
+                columns, p, q, i_prime, k, source, stages
             )
             if result is not None:
                 return result
@@ -141,12 +101,7 @@ class H2CreateSuperfluousReplicas(ScheduleOptimizer):
 
     # ------------------------------------------------------------------
     def _stage_candidates(
-        self,
-        instance: RtspInstance,
-        i_prime: int,
-        k: int,
-        source: int,
-        state_q: ArrayState,
+        self, columns: ActionColumns, i_prime: int, k: int, source: int, q: int
     ) -> List[int]:
         """Servers eligible to hold the staged replica, cheapest first.
 
@@ -155,85 +110,75 @@ class H2CreateSuperfluousReplicas(ScheduleOptimizer):
         the staging point. Ordered by the added transfer cost
         ``l[i, source] + l[i_prime, i]`` so the cheapest staging relay is
         tried first (the paper picks any server with space; ordering by
-        cost is a pure refinement).
+        cost is a pure refinement); ties go to the lower index.
         """
-        costs = instance.costs
-        eligible = [
-            i
-            for i in range(instance.num_servers)
-            if i != source and i != i_prime and not state_q.holds(i, k)
-        ]
-        eligible.sort(key=lambda i: (costs[i, source] + costs[i_prime, i], i))
-        return eligible[: self.max_stage_candidates]
+        costs = columns.start.instance.costs
+        m = columns.start.instance.num_servers
+        eligible = np.ones(m, dtype=bool)
+        eligible[[source, i_prime, *columns.holders_before(q, k)]] = False
+        servers = np.flatnonzero(eligible)
+        added = costs[servers, source] + costs[i_prime, servers]
+        ranked = servers[np.argsort(added, kind="stable")]
+        return ranked[: self.max_stage_candidates].tolist()
 
     def _stage_on_free_server(
         self,
-        instance: RtspInstance,
-        actions: List[Action],
+        columns: ActionColumns,
         p: int,
         q: int,
         i_prime: int,
         k: int,
         source: int,
-        state_q: ArrayState,
         stages: List[int],
-    ) -> Optional[List[Action]]:
-        size = float(instance.sizes[k])
+    ) -> Optional[ActionColumns]:
+        size = columns.start.sizes[k]
         for i in stages:
-            if state_q.free[i] < size:
+            if columns.row_before(q, i)[1] < size:
                 continue
-            window = (
-                [Transfer(i, k, source)]
-                + list(actions[q:p])
-                + [Transfer(i_prime, k, i), Delete(i, k)]
+            edit = Edit(
+                q,
+                p + 1,
+                (transfer_row(i, k, source),),
+                {p: (transfer_row(i_prime, k, i), delete_row(i, k))},
             )
-            if window_valid(state_q, window):
-                return list(actions[:q]) + window + list(actions[p + 1 :])
+            if columns.proves(edit):
+                return columns.apply(edit)
         return None
 
     def _stage_with_space_making(
         self,
-        instance: RtspInstance,
-        actions: List[Action],
+        columns: ActionColumns,
         p: int,
         q: int,
         i_prime: int,
         k: int,
         source: int,
-        state_q: ArrayState,
         stages: List[int],
-    ) -> Optional[List[Action]]:
+    ) -> Optional[ActionColumns]:
         """Hoist later deletions at a candidate server to make room."""
-        size = float(instance.sizes[k])
-        sizes = instance.sizes
-        n = len(actions)
+        sizes = columns.start.sizes
+        size = sizes[k]
+        n = len(columns)
         for i in stages:
-            deficit = size - float(state_q.free[i])
+            deficit = size - columns.row_before(q, i)[1]
             if deficit <= 0:
                 continue  # already tried by _stage_on_free_server
             later_dels = [
                 idx
-                for idx in range(q + 1, n)
-                if isinstance(actions[idx], Delete)
-                and actions[idx].server == i
-                and actions[idx].obj != k
+                for idx in columns.server_deletions_between(q, n, i)
+                if columns.row(idx)[2] != k
             ][: self.max_space_makers]
             freed = 0.0
-            chosen: List[int] = []
+            head: Tuple = ()
+            replace = {p: (transfer_row(i_prime, k, i), delete_row(i, k))}
             for idx in later_dels:
-                chosen.append(idx)
-                freed += float(sizes[actions[idx].obj])
+                head += (columns.row(idx),)
+                replace[idx] = ()
+                freed += sizes[columns.row(idx)[2]]
                 if freed < deficit:
                     continue
-                removed = set(chosen)
-                end = max(p, max(chosen)) + 1
-                window = (
-                    [actions[x] for x in chosen]
-                    + [Transfer(i, k, source)]
-                    + [actions[x] for x in range(q, p) if x not in removed]
-                    + [Transfer(i_prime, k, i), Delete(i, k)]
-                    + [actions[x] for x in range(p + 1, end) if x not in removed]
-                )
-                if window_valid(state_q, window):
-                    return list(actions[:q]) + window + list(actions[end:])
+                end = max(p, idx) + 1
+                edit = Edit(q, end, head + (transfer_row(i, k, source),), dict(replace))
+                if columns.proves(edit):
+                    return columns.apply(edit)
         return None

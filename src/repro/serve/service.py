@@ -255,7 +255,7 @@ class PlanningService:
     ) -> Optional[Dict[str, Any]]:
         payload = self.plan_cache.get(key)
         if payload is None:
-            self._count("serve.cache.plan.misses")
+            # Counted by the job that plans it (``_run_plan``), once.
             return None
         self._count("serve.cache.plan.hits")
         payload["cache_hit"] = True

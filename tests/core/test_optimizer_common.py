@@ -1,22 +1,21 @@
-"""Tests for the optimizer machinery (ArrayState, window replays)."""
+"""Tests for the optimizer machinery (ArrayState, action columns, window
+replays and touched-row proofs)."""
 
 import numpy as np
 import pytest
 
 from repro.core.optimizers.common import (
+    ActionColumns,
     ArrayState,
+    Edit,
     actions_cost,
-    blocking_transfer,
-    capture_states,
     count_dummies,
-    deletion_positions_before,
-    is_standalone_deletion,
-    server_deletions_between,
+    transfer_row,
     window_replay_with_repairs,
-    window_valid,
 )
 from repro.model.actions import Delete, Transfer
 from repro.model.instance import RtspInstance
+from repro.model.schedule import Schedule
 from repro.model.state import SystemState
 
 
@@ -76,29 +75,94 @@ class TestArrayState:
         assert s.holds(2, 0)
 
 
-class TestCaptureStates:
+def columns(inst, actions):
+    return ActionColumns.from_schedule(inst, Schedule(actions))
+
+
+class TestStartRows:
+    """Rows of the state before a position, replayed from ``X_old``."""
+
     def test_snapshots_before_positions(self, inst):
-        actions = [Delete(0, 0), Transfer(2, 0, inst.dummy), Delete(2, 0)]
-        snaps = capture_states(inst, actions, [0, 1, 2])
-        assert snaps[0].holds(0, 0)
-        assert not snaps[1].holds(0, 0)
-        assert snaps[2].holds(2, 0)
+        cols = columns(inst, [Delete(0, 0), Transfer(2, 0, inst.dummy), Delete(2, 0)])
+        assert 0 in cols.row_before(0, 0)[0]
+        assert 0 not in cols.row_before(1, 0)[0]
+        assert cols.row_before(1, 0)[1] == 1.0
+        assert 0 in cols.row_before(2, 2)[0]
+        assert cols.row_before(2, 2)[1] == 0.0
+        assert cols.row_before(3, 2) == (frozenset(), 1.0)
 
     def test_duplicate_positions_ok(self, inst):
-        actions = [Delete(0, 0)]
-        snaps = capture_states(inst, actions, [0, 0, 1])
-        assert set(snaps) == {0, 1}
+        cols = columns(inst, [Delete(0, 0)])
+        first = cols.row_before(0, 0)
+        assert cols.row_before(0, 0) == first == (frozenset({0}), 0.0)
+        assert cols.row_before(1, 0) == (frozenset(), 1.0)
+
+    def test_rows_match_full_replay(self, inst):
+        actions = [Delete(0, 0), Transfer(2, 0, inst.dummy), Transfer(0, 1, 1)]
+        cols = columns(inst, actions)
+        state = ArrayState(inst)
+        for pos in range(len(actions) + 1):
+            for server in range(inst.num_servers):
+                held, free = cols.row_before(pos, server)
+                assert held == set(np.flatnonzero(state.placement[server]))
+                assert free == state.free[server]
+            if pos < len(actions):
+                state.apply(actions[pos])
+
+    def test_holders_before(self, inst):
+        cols = columns(inst, [Delete(0, 0), Transfer(2, 0, inst.dummy)])
+        assert cols.holders_before(0, 0) == {0}
+        assert cols.holders_before(1, 0) == set()
+        assert cols.holders_before(2, 0) == {2}
+
+    def test_flat_schedule_read_without_materializing(self):
+        from repro.core import get_builder
+        from repro.flat.builders import flat_golcf
+        from repro.workloads.regular import paper_instance
+
+        inst = paper_instance(2, 8, 20, rng=1)
+        flat = flat_golcf(inst, rng=3)
+        cols = ActionColumns.from_schedule(inst, flat)
+        assert not flat.materialized
+        assert cols.to_schedule() == get_builder("GOLCF").build(inst, rng=3)
 
 
 class TestWindowReplay:
     def test_window_valid_accepts(self, inst):
-        start = ArrayState(inst)
-        assert window_valid(start, [Transfer(2, 0, 0), Delete(0, 0)])
+        # [D(0,0), T(2,0,d)] -> [T(2,0,0), D(0,0)]: H1's move before the
+        # deletion.
+        cols = columns(inst, [Delete(0, 0), Transfer(2, 0, inst.dummy)])
+        edit = Edit(0, 2, (transfer_row(2, 0, 0),), {1: ()})
+        assert cols.proves(edit)
+        assert cols.apply(edit).to_schedule() == Schedule(
+            [Transfer(2, 0, 0), Delete(0, 0)]
+        )
 
     def test_window_valid_rejects_and_preserves_start(self, inst):
-        start = ArrayState(inst)
-        assert not window_valid(start, [Delete(0, 0), Transfer(2, 0, 0)])
-        assert start.holds(0, 0)  # start state untouched
+        # Re-sourcing the transfer in place to the deleted replica.
+        original = [Delete(0, 0), Transfer(2, 0, inst.dummy)]
+        cols = columns(inst, original)
+        start = cols.row_before(0, 0)
+        edit = Edit(0, 2, (), {1: (transfer_row(2, 0, 0),)})
+        assert not cols.proves(edit)
+        assert cols.row_before(0, 0) == start == (frozenset({0}), 0.0)
+        assert 0 in cols.start.held(0)  # start state untouched
+        assert cols.to_schedule() == Schedule(original)
+
+    def test_rejects_capacity_overflow(self, inst):
+        # Server 0 is full until D(0,0): a transfer of object 1 before it
+        # overflows, after it fits.
+        actions = [Delete(0, 0), Transfer(0, 1, 1), Delete(0, 1)]
+        cols = columns(inst, actions)
+        assert not cols.proves(Edit(0, 2, (transfer_row(0, 1, 1),), {1: ()}))
+        assert cols.proves(Edit(0, 2, (), {}))
+
+    def test_rejects_static_violations(self, inst):
+        cols = columns(inst, [Delete(0, 0), Transfer(2, 0, inst.dummy)])
+        assert not cols.proves(Edit(0, 2, (transfer_row(2, 0, 2),), {1: ()}))
+        assert not cols.proves(
+            Edit(0, 2, (transfer_row(inst.dummy, 0, 0),), {1: ()})
+        )
 
     def test_repairs_broken_source(self, inst):
         start = ArrayState(inst)
@@ -128,30 +192,53 @@ class TestAccounting:
         assert count_dummies(inst, actions) == 1
 
 
+@pytest.fixture
+def wide():
+    """Room for the structure queries' servers 0-2 and objects 0-8."""
+    m, n = 3, 9
+    costs = np.ones((m, m)) - np.eye(m)
+    x = np.zeros((m, n), dtype=np.int8)
+    return RtspInstance.create(np.ones(n), np.full(m, n), costs, x, x)
+
+
 class TestStructureQueries:
-    def test_deletion_positions_before_nearest_first(self):
+    def test_deletion_positions_before_nearest_first(self, wide):
         actions = [Delete(0, 5), Transfer(1, 5, 0), Delete(2, 5), Delete(1, 6)]
-        assert deletion_positions_before(actions, 4, 5) == [2, 0]
+        assert columns(wide, actions).deletion_positions_before(4, 5) == [2, 0]
 
-    def test_server_deletions_between_exclusive(self):
+    def test_server_deletions_between_exclusive(self, wide):
         actions = [Delete(1, 0), Delete(1, 1), Delete(1, 2), Delete(1, 3)]
-        assert server_deletions_between(actions, 0, 3, 1) == [1, 2]
+        assert columns(wide, actions).server_deletions_between(0, 3, 1) == [1, 2]
 
-    def test_standalone_detection(self):
+    def test_standalone_detection(self, wide):
         # deletion fed by a transfer sourcing from its server: not standalone
         actions = [Transfer(2, 7, 1), Delete(1, 7)]
-        assert not is_standalone_deletion(actions, 0, 1)
+        assert not columns(wide, actions).is_standalone_deletion(0, 1)
         # creation at the server: not standalone either
         actions = [Transfer(1, 7, 2), Delete(1, 7)]
-        assert not is_standalone_deletion(actions, 0, 1)
+        assert not columns(wide, actions).is_standalone_deletion(0, 1)
         # unrelated actions: standalone
         actions = [Transfer(2, 8, 0), Delete(1, 7)]
-        assert is_standalone_deletion(actions, 0, 1)
-
-    def test_blocking_transfer_found(self):
+        assert columns(wide, actions).is_standalone_deletion(0, 1)
+        # a feeding transfer before the window does not count
         actions = [Transfer(2, 7, 1), Delete(1, 7)]
-        assert blocking_transfer(actions, 0, 1) == 0
+        assert columns(wide, actions).is_standalone_deletion(1, 1)
 
-    def test_blocking_transfer_absent(self):
+    def test_blocking_transfer_found(self, wide):
+        actions = [Transfer(2, 7, 1), Delete(1, 7)]
+        assert columns(wide, actions).blocking_transfer(0, 1) == 0
+
+    def test_blocking_transfer_absent(self, wide):
         actions = [Transfer(1, 7, 2), Delete(1, 7)]
-        assert blocking_transfer(actions, 0, 1) is None
+        assert columns(wide, actions).blocking_transfer(0, 1) is None
+        actions = [Transfer(2, 7, 1), Delete(1, 7)]
+        assert columns(wide, actions).blocking_transfer(1, 1) is None
+
+    def test_dummy_positions(self, wide):
+        actions = [
+            Transfer(0, 1, 3),
+            Delete(0, 2),
+            Transfer(1, 1, 0),
+            Transfer(2, 1, 3),
+        ]
+        assert columns(wide, actions).dummy_positions() == [0, 3]

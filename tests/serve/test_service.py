@@ -372,6 +372,21 @@ class TestIntrospection:
         assert parsed["histograms"]["rtsp_serve_plan_millis"]["count"] == 2
 
 
+    def test_each_request_counts_one_cache_outcome(
+        self, service, small_instance, other_instance
+    ):
+        from repro.obs.export import parse_prometheus_text
+
+        service.plan(plan_payload(small_instance))  # sync cold
+        _, accepted = service.plan(plan_payload(other_instance, mode="async"))
+        assert wait_terminal(service, accepted["id"])["state"] == "done"
+        _, replay = service.plan(plan_payload(small_instance))
+        assert replay["cache_hit"] is True
+        counters = parse_prometheus_text(service.metrics_text())["counters"]
+        assert counters["rtsp_serve_cache_plan_misses"] == 2.0
+        assert counters["rtsp_serve_cache_plan_hits"] == 1.0
+
+
 class TestDefaultTimeout:
     def test_service_level_timeout_applies(self, small_instance):
         config = ServeConfig(workers=1, default_timeout=0.0)
