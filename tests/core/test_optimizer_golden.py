@@ -8,6 +8,13 @@ instance with fractional sizes whose capacities sit within
 ``CAPACITY_EPS`` of the demand. Any change to an optimizer's
 accept/reject decisions shows up as a digest mismatch.
 
+Beside the stages, ``variants`` holds the final digest of whole
+pipelines: OP1's continue-in-place ablation (``/continue``:
+``restart=False``) and NSR after the winning pipeline on the same
+inputs, and OP1 on AR and RDF+H1+H2 schedules of smaller instances,
+where it rewrites most and repairs stranded sources (case iii) on many
+of the candidates it proves.
+
 Regenerate (only after a deliberate behaviour change)::
 
     PYTHONPATH=src python tests/core/test_optimizer_golden.py --write
@@ -24,6 +31,8 @@ import numpy as np
 import pytest
 
 from repro.core import build_pipeline
+from repro.core.optimizers.op1 import OP1ReorderTransfers
+from repro.core.pipeline import Pipeline
 from repro.model.actions import Transfer
 from repro.model.instance import RtspInstance
 from repro.model.state import CAPACITY_EPS
@@ -35,7 +44,7 @@ FORMAT = "rtsp-optimizer-golden/1"
 PIPELINE = "GOLCF+H1+H2+OP1"
 
 
-def epsilon_edge_instance(seed: int) -> RtspInstance:
+def epsilon_edge_instance(seed: int, m: int = 30, n: int = 240) -> RtspInstance:
     """Fractional sizes; every capacity within ``CAPACITY_EPS`` of its load.
 
     Capacities are ``max(load_old, load_new)`` nudged by up to half an
@@ -43,7 +52,6 @@ def epsilon_edge_instance(seed: int) -> RtspInstance:
     ``CAPACITY_EPS`` slack.
     """
     gen = np.random.default_rng(seed)
-    m, n = 30, 240
     sizes = np.round(gen.uniform(0.1, 3.0, size=n), 3) + 1.0 / 3.0
     coords = gen.random((m, 2)) * 20
     costs = np.ceil(np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2))
@@ -66,6 +74,40 @@ def cases():
     out.append(("flat-100x500-s7", paper_instance(2, 100, 500, rng=7), 7))
     out.append(("eps-edge-30x240-s3", epsilon_edge_instance(3), 3))
     return out
+
+
+#: Whole pipelines frozen on the stage cases' inputs.
+STAGE_VARIANTS = ("GOLCF+H1+H2+OP1/continue", "GOLCF+H1+H2+OP1+NSR")
+#: Whole pipelines frozen on :func:`rewrite_cases`' inputs.
+REWRITE_VARIANTS = (
+    "AR+OP1",
+    "AR+OP1/continue",
+    "RDF+H1+H2+OP1",
+    "RDF+H1+H2+OP1+NSR",
+)
+
+
+def rewrite_cases():
+    """``(name, instance, pipeline seed)`` of the AR/RDF variant inputs."""
+    out = [
+        (f"paper-20x150-s{seed}", paper_instance(2, 20, 150, rng=seed), seed)
+        for seed in range(2)
+    ]
+    out.append(("eps-edge-16x120-s3", epsilon_edge_instance(3, 16, 120), 3))
+    return out
+
+
+def variant_pipeline(spec: str) -> Pipeline:
+    """``spec`` as a pipeline; a ``/continue`` suffix runs OP1 with
+    ``restart=False``."""
+    spec, _, mode = spec.partition("/")
+    pipeline = build_pipeline(spec)
+    if mode == "continue":
+        pipeline.optimizers = [
+            OP1ReorderTransfers(restart=False) if o.name == "OP1" else o
+            for o in pipeline.optimizers
+        ]
+    return pipeline
 
 
 def schedule_digest(schedule) -> str:
@@ -104,6 +146,19 @@ def stage_digests(instance: RtspInstance, seed: int):
     return out
 
 
+def variant_digests(instance: RtspInstance, seed: int, specs):
+    """``{spec: {sha256, actions, dummies}}`` of each whole pipeline."""
+    out = {}
+    for spec in specs:
+        schedule = variant_pipeline(spec).run(instance, rng=seed)
+        out[spec] = {
+            "sha256": schedule_digest(schedule),
+            "actions": len(schedule),
+            "dummies": schedule.count_dummy_transfers(instance),
+        }
+    return out
+
+
 def compute_corpus():
     return {
         "format": FORMAT,
@@ -115,6 +170,16 @@ def compute_corpus():
             ]
             for name, instance, seed in cases()
         },
+        "variants": {
+            **{
+                name: variant_digests(instance, seed, STAGE_VARIANTS)
+                for name, instance, seed in cases()
+            },
+            **{
+                name: variant_digests(instance, seed, REWRITE_VARIANTS)
+                for name, instance, seed in rewrite_cases()
+            },
+        },
     }
 
 
@@ -124,6 +189,9 @@ def _load():
 
 
 CASES = cases()
+VARIANT_CASES = [(name, i, seed, STAGE_VARIANTS) for name, i, seed in CASES] + [
+    (name, i, seed, REWRITE_VARIANTS) for name, i, seed in rewrite_cases()
+]
 
 
 @pytest.mark.parametrize(
@@ -140,9 +208,22 @@ def test_stage_digests_match_corpus(name, instance, seed):
     assert got == expected
 
 
+@pytest.mark.parametrize(
+    "name,instance,seed,specs",
+    VARIANT_CASES,
+    ids=[name for name, _, _, _ in VARIANT_CASES],
+)
+def test_variant_digests_match_corpus(name, instance, seed, specs):
+    expected = _load()["variants"][name]
+    assert variant_digests(instance, seed, specs) == expected
+
+
 def test_corpus_covers_every_case_and_exercises_the_optimizers():
     corpus = _load()
     assert sorted(corpus["cases"]) == sorted(name for name, _, _ in CASES)
+    assert sorted(corpus["variants"]) == sorted(
+        name for name, _, _, _ in VARIANT_CASES
+    )
     for name, stages in corpus["cases"].items():
         assert [s["stage"] for s in stages] == ["GOLCF", "H1", "H2", "OP1"]
         # Every case starts with dummy transfers for H1/H2 to work on.
