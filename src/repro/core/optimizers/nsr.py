@@ -9,23 +9,29 @@ cheapest replicator at its (new) position. NSR closes those gaps:
 * it never changes the action order, only transfer sources;
 * each re-point strictly lowers that transfer's cost, so the schedule's
   total cost is non-increasing;
-* sources are replicators in the current replay state, so validity is
-  preserved by construction (the state trajectory does not depend on
-  sources at all).
+* sources are replicators at that position, so validity is preserved by
+  construction (the state trajectory does not depend on sources at all).
 
-Cheap enough (one replay) to append to any pipeline, e.g.
+The pass reads the schedule's int32 action columns and keeps one holder
+set per object, started from the ``X_old`` holder index on the object's
+first action. Cheap enough to append to any pipeline, e.g.
 ``GOLCF+H1+H2+OP1+NSR``.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, Set, Tuple
 
 from repro.core.base import ScheduleOptimizer, register_optimizer
-from repro.core.optimizers.common import ArrayState
-from repro.model.actions import Action, Transfer
+from repro.core.optimizers.common import (
+    ActionColumns,
+    Edit,
+    Row,
+    nearest,
+    transfer_row,
+)
 from repro.model.instance import RtspInstance
-from repro.model.schedule import Schedule
+from repro.model.schedule import KIND_TRANSFER, Schedule
 
 
 @register_optimizer
@@ -37,14 +43,21 @@ class NearestSourceRefinement(ScheduleOptimizer):
     def optimize(
         self, instance: RtspInstance, schedule: Schedule, rng=None
     ) -> Schedule:
-        state = ArrayState(instance)
-        costs = instance.costs
-        out: List[Action] = []
-        for action in schedule:
-            if isinstance(action, Transfer):
-                best = state.nearest(action.target, action.obj)
-                if costs[action.target, best] < costs[action.target, action.source]:
-                    action = action.with_source(best)
-            state.apply(action)
-            out.append(action)
-        return Schedule(out)
+        columns = ActionColumns.from_schedule(instance, schedule)
+        costs, dummy = instance.costs, instance.dummy
+        holders: Dict[int, Set[int]] = {}
+        replace: Dict[int, Tuple[Row, ...]] = {}
+        for x in range(len(columns)):
+            kind, server, obj, source = columns.row(x)
+            if obj not in holders:
+                holders[obj] = set(columns.start.holders(obj))
+            held = holders[obj]
+            if kind == KIND_TRANSFER:
+                best = nearest(costs, dummy, server, held)
+                if costs[server, best] < costs[server, source]:
+                    replace[x] = (transfer_row(server, obj, best),)
+                held.add(server)
+            else:
+                held.discard(server)
+        edit = Edit(0, len(columns), (), replace)
+        return columns.apply(edit).to_schedule()

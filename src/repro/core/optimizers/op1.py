@@ -17,6 +17,16 @@ the paper's cases (ii)–(iv):
 * rewrites that would duplicate replicas or delete not-yet-created ones
   simply fail the window replay and are dropped (case ii).
 
+Each candidate is an :class:`~repro.core.optimizers.common.Edit` of the
+schedule's int32 action columns: the hoisted deletions and the moved
+transfer, re-sourced to its nearest holder at ``p1``, form the edit's
+head; the moved transfer and the hoisted deletions leave their places;
+re-pointed transfers are re-sourced. :meth:`ActionColumns.repair
+<repro.core.optimizers.common.ActionColumns.repair>` proves it by a
+touched-row replay that makes the case (iii) repairs, and every source
+choice scans the object's holders before that position (a per-object
+index), so no full replication state is ever built.
+
 Acceptance requires the rewrite window to replay validly *and* the total
 cost delta to be strictly negative, so the optimizer monotonically
 decreases cost and terminates. After each accepted change the scan
@@ -27,17 +37,20 @@ continues in place — an ablation measured in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, Optional, Set
+
+import numpy as np
 
 from repro.core.base import ScheduleOptimizer, register_optimizer
 from repro.core.optimizers.common import (
-    ArrayState,
-    actions_cost,
-    window_replay_with_repairs,
+    ActionColumns,
+    Edit,
+    nearest,
+    transfer_row,
 )
-from repro.model.actions import Action, Delete, Transfer
 from repro.model.instance import RtspInstance
-from repro.model.schedule import Schedule
+from repro.model.schedule import KIND_DELETE, Schedule
 
 #: Minimum cost improvement for a rewrite to be accepted (guards float
 #: round-off from producing endless micro-"improvements").
@@ -69,187 +82,169 @@ class OP1ReorderTransfers(ScheduleOptimizer):
     def optimize(
         self, instance: RtspInstance, schedule: Schedule, rng=None
     ) -> Schedule:
-        actions = schedule.actions()
+        columns = ActionColumns.from_schedule(instance, schedule)
+        # object -> ranks j (see ActionColumns.transfer_pairs) of the
+        # pairs the optimistic bound ruled out. The bound reads only the
+        # object's own actions, so it stands until an edit touches them.
+        bounded: Dict[int, Set[int]] = {}
         rounds = 0
         while rounds < self.max_rounds:
-            result = self._scan(instance, actions)
+            result = self._scan(columns, bounded)
             if result is None:
                 break
-            actions = result
+            columns = result
             rounds += 1
-        return Schedule(actions)
+        return columns.to_schedule()
 
     # ------------------------------------------------------------------
     def _scan(
-        self, instance: RtspInstance, actions: List[Action]
-    ) -> Optional[List[Action]]:
-        """One scan; returns the improved action list or ``None``.
+        self, columns: ActionColumns, bounded: Dict[int, Set[int]]
+    ) -> Optional[ActionColumns]:
+        """One scan; returns the improved columns or ``None``.
 
         With ``restart=True`` the scan returns at the first accepted
         change; with ``restart=False`` it applies changes in place and
         returns the accumulated result at the end of the pass (``None``
         if nothing improved).
         """
-        transfer_pos = _transfer_positions_by_object(actions)
-        cell_deleted = _deleted_cells(actions)
-        state = ArrayState(instance)
-        p1 = 0
         improved = False
-        while p1 < len(actions):
-            a1 = actions[p1]
-            if isinstance(a1, Transfer):
-                p2 = _next_after(transfer_pos.get(a1.obj, ()), p1)
-                if p2 is not None:
-                    cand = self._consider(
-                        instance, actions, state, transfer_pos, cell_deleted, p1, p2
-                    )
-                    if cand is not None:
-                        actions = cand
-                        improved = True
-                        if self.restart:
-                            return actions
-                        # Continue in place: the prefix [0, p1) — and thus
-                        # `state` — is unchanged; re-examine from p1.
-                        transfer_pos = _transfer_positions_by_object(actions)
-                        cell_deleted = _deleted_cells(actions)
-                        continue
-            state.apply(a1)
-            p1 += 1
-        return actions if improved else None
+        p1 = 0
+        while True:
+            for p1, p2, j in columns.transfer_pairs(p1):
+                if j in bounded.get(columns.row(p1)[2], ()):
+                    continue
+                edit = self._consider(columns, p1, p2, j, bounded)
+                if edit is not None:
+                    break
+            else:
+                return columns if improved else None
+            for obj in {row[2] for row in edit.head}:
+                bounded.pop(obj, None)
+            for x in edit.replace:
+                bounded.pop(columns.row(x)[2], None)
+            columns = columns.apply(edit)
+            improved = True
+            if self.restart:
+                return columns
+            # Continue in place: the prefix [0, p1) is unchanged;
+            # re-examine from p1.
 
     # ------------------------------------------------------------------
     def _consider(
         self,
-        instance: RtspInstance,
-        actions: List[Action],
-        state: ArrayState,
-        transfer_pos: Dict[int, List[int]],
-        cell_deleted: frozenset,
+        columns: ActionColumns,
         p1: int,
         p2: int,
-    ) -> Optional[List[Action]]:
+        j: int,
+        bounded: Dict[int, Set[int]],
+    ) -> Optional[Edit]:
         """Evaluate moving the transfer at ``p2`` to just before ``p1``.
 
-        ``state`` is the replication state before position ``p1``.
-        Returns the complete rewritten action list on acceptance.
+        ``p2`` is the next transfer of the object of the transfer at
+        ``p1``, the object's ``j``-th. Returns the edit on acceptance;
+        records ``j`` in ``bounded`` when the optimistic bound rules the
+        move out.
         """
-        moved = actions[p2]
-        assert isinstance(moved, Transfer)
-        i, k = moved.target, moved.obj
-        costs, size = instance.costs, float(instance.sizes[k])
-        positions_k = transfer_pos.get(k, ())
+        start = columns.start
+        costs = start.instance.costs
+        _, i, k, moved_source = columns.row(p2)
+        size = start.sizes[k]
+        positions = columns.object_positions(k)
+        later = [
+            x
+            for x in positions[bisect_left(positions, p1) :]
+            if columns.row(x)[0] != KIND_DELETE
+        ]
 
-        new_source = state.nearest(i, k)
+        new_source = nearest(costs, start.dummy, i, columns.holders_before(p1, k))
         # Optimistic bound: the moved transfer's own cost change plus the
         # best-case re-pointing savings for every other transfer of the
         # object at or after p1. Skip candidate construction (the
         # expensive part) when even the optimistic total is non-positive.
-        optimistic = size * (costs[i, moved.source] - costs[i, new_source])
-        for idx in positions_k:
-            if idx < p1 or idx == p2:
-                continue
-            t = actions[idx]
-            if t.target != i:
-                optimistic += max(
-                    0.0, size * (costs[t.target, t.source] - costs[t.target, i])
-                )
+        optimistic = size * (costs[i, moved_source] - costs[i, new_source])
+        for x in later:
+            _, t, _, s = columns.row(x)
+            if x != p2 and t != i:
+                optimistic += max(0.0, size * (costs[t, s] - costs[t, i]))
         if optimistic <= COST_EPS:
+            bounded.setdefault(k, set()).add(j)
             return None
 
-        # Re-pointing through S_i is only safe while S_i keeps the object;
-        # if some later action deletes (i, k), skip tail re-points (window
-        # re-points are still checked by the replay).
-        i_keeps_obj = (i, k) not in cell_deleted
-        replacement = Transfer(i, k, new_source)
+        # The window [p1, p2] holds one other transfer of the object: the
+        # one at p1, re-pointed through S_i when that is cheaper.
+        delta = size * (costs[i, new_source] - costs[i, moved_source])
+        replace = {p2: ()}
+        _, t, _, s = columns.row(p1)
+        if t != i and costs[t, i] < costs[t, s]:
+            delta += size * (costs[t, i] - costs[t, s])
+            replace[p1] = (transfer_row(t, k, i),)
 
-        for hoist in (False, True):
-            hoisted: List[int] = []
-            if hoist:
-                hoisted = [
-                    idx
-                    for idx in range(p1 + 1, p2)
-                    if isinstance(actions[idx], Delete)
-                    and actions[idx].server == i
-                ]
-                if not hoisted:
-                    break  # identical to the no-hoist variant
-            removed = set(hoisted)
-            removed.add(p2)
+        # Re-pointing the tail through S_i is only safe while S_i keeps the
+        # object; if some action deletes (i, k), skip tail re-points.
+        tail = {}
+        savings = []
+        if not any(columns.row(x)[:2] == (KIND_DELETE, i) for x in positions):
+            for x in later:
+                _, t, _, s = columns.row(x)
+                if x > p2 and t != i and costs[t, i] < costs[t, s]:
+                    savings.append(size * (costs[t, i] - costs[t, s]))
+                    tail[x] = (transfer_row(t, k, i),)
 
-            # --- build the rewrite window [p1, p2] -----------------------
-            window: List[Action] = [actions[idx] for idx in hoisted]
-            window.append(replacement)
-            delta = size * (costs[i, new_source] - costs[i, moved.source])
-            for idx in range(p1, p2 + 1):
-                if idx in removed:
-                    continue
-                a = actions[idx]
-                if (
-                    isinstance(a, Transfer)
-                    and a.obj == k
-                    and a.target != i
-                    and costs[a.target, i] < costs[a.target, a.source]
-                ):
-                    delta += size * (costs[a.target, i] - costs[a.target, a.source])
-                    a = a.with_source(i)
-                window.append(a)
-
-            repaired = window_replay_with_repairs(state, window)
+        # The plain move, then with S_i's deletions in the window hoisted
+        # along (case iv).
+        replacement = transfer_row(i, k, new_source)
+        hoisted = columns.server_deletions_between(p1, p2, i)
+        for moves in ([], hoisted) if hoisted else ([],):
+            edit = Edit(
+                p1,
+                p2 + 1,
+                tuple(columns.row(x) for x in moves) + (replacement,),
+                {**replace, **dict.fromkeys(moves, ())},
+            )
+            repaired = columns.repair(edit)
             if repaired is None:
                 continue
-            # Repair penalties (case iii): cost difference of the window
-            # after source re-pointing repairs.
-            delta += actions_cost(instance, repaired) - actions_cost(
-                instance, window
-            )
-
-            # --- tail re-points (transfers of k after the window) --------
-            tail_repoints: List[int] = []
-            if i_keeps_obj:
-                for idx in positions_k:
-                    if idx <= p2:
-                        continue
-                    t = actions[idx]
-                    if t.target != i and costs[t.target, i] < costs[t.target, t.source]:
-                        delta += size * (
-                            costs[t.target, i] - costs[t.target, t.source]
-                        )
-                        tail_repoints.append(idx)
-
-            if delta >= -COST_EPS:
+            total = delta
+            if repaired is not edit:
+                # Repair penalties (case iii): cost difference of the
+                # window after source re-pointing repairs.
+                total += _window_cost(columns, repaired) - _window_cost(
+                    columns, edit
+                )
+            for saving in savings:
+                total += saving
+            if total >= -COST_EPS:
                 continue
-            out = list(actions[:p1])
-            out.extend(repaired)
-            for idx in range(p2 + 1, len(actions)):
-                a = actions[idx]
-                if idx in tail_repoints:
-                    a = a.with_source(i)
-                out.append(a)
-            return out
+            end = max(tail, default=p2) + 1
+            return Edit(p1, end, repaired.head, {**repaired.replace, **tail})
         return None
 
 
-def _transfer_positions_by_object(
-    actions: Sequence[Action],
-) -> Dict[int, List[int]]:
-    """Map object id -> sorted positions of its transfers."""
-    positions: Dict[int, List[int]] = {}
-    for idx, a in enumerate(actions):
-        if isinstance(a, Transfer):
-            positions.setdefault(a.obj, []).append(idx)
-    return positions
+def _window_cost(columns: ActionColumns, edit: Edit) -> float:
+    """Implementation cost of the window ``edit`` rewrites, summed in
+    window order (deletions add nothing)."""
+    instance = columns.start.instance
+    sizes, costs = instance.sizes, instance.costs
 
+    def cost(row) -> float:
+        kind, target, obj, source = row
+        if kind == KIND_DELETE:
+            return 0.0
+        return float(sizes[obj] * costs[target, source])
 
-def _deleted_cells(actions: Sequence[Action]) -> frozenset:
-    """Set of ``(server, obj)`` cells deleted anywhere in the schedule."""
-    return frozenset(
-        (a.server, a.obj) for a in actions if isinstance(a, Delete)
-    )
-
-
-def _next_after(positions: Sequence[int], p1: int) -> Optional[int]:
-    """Smallest position in ``positions`` strictly greater than ``p1``."""
-    for idx in positions:
-        if idx > p1:
-            return idx
-    return None
+    lo, hi, head, replace = edit
+    kind, target, obj, source = columns.table[lo:hi].T
+    unmoved = np.where(
+        kind == KIND_DELETE, 0.0, sizes[obj] * costs[target, source]
+    ).tolist()
+    total = 0.0
+    for row in head:
+        total += cost(row)
+    for x, unmoved_cost in enumerate(unmoved, lo):
+        group = replace.get(x)
+        if group is None:
+            total += unmoved_cost
+        else:
+            for row in group:
+                total += cost(row)
+    return total

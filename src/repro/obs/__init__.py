@@ -22,7 +22,7 @@ the build → simulate → repair pipeline. Five pillars:
   JSON for metrics snapshots and span lists, round-trippable for
   validation.
 * :mod:`repro.obs.profile` — :class:`StageProfiler` (per-stage wall
-  clocks; successor of ``repro.util.timing.Stopwatch``) plus opt-in
+  clocks) plus opt-in
   cProfile (:func:`profiled`) and tracemalloc (:func:`trace_memory`)
   context managers.
 

@@ -13,7 +13,7 @@ from repro.util.errors import (
     ConfigurationError,
 )
 from repro.util.rng import ensure_rng, spawn_rngs, derive_seed
-from repro.util.timing import Stopwatch, timed
+from repro.util.timing import timed
 from repro.util.validation import (
     check_binary_matrix,
     check_nonnegative,
@@ -32,7 +32,6 @@ __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "derive_seed",
-    "Stopwatch",
     "timed",
     "check_binary_matrix",
     "check_nonnegative",

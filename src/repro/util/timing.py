@@ -1,33 +1,12 @@
-"""Deprecated timing shim — use :mod:`repro.obs.profile` instead.
+"""Timing helper re-exported for :mod:`repro.util` users.
 
-:class:`Stopwatch` used to live here; it is now a thin subclass of
-:class:`repro.obs.profile.StageProfiler` that emits a
-``DeprecationWarning`` on construction. :func:`timed` is re-exported
-unchanged. Existing imports (``from repro.util.timing import Stopwatch,
-timed``) keep working; new code should import from ``repro.obs``.
+The stage wall clock lives in :mod:`repro.obs.profile`
+(:class:`~repro.obs.profile.StageProfiler`); :func:`timed` records each
+call of a function into one.
 """
 
 from __future__ import annotations
 
-import warnings
+from repro.obs.profile import timed
 
-from repro.obs.profile import StageProfiler, timed
-
-__all__ = ["Stopwatch", "timed"]
-
-
-class Stopwatch(StageProfiler):
-    """Deprecated alias of :class:`repro.obs.profile.StageProfiler`.
-
-    Keeps the historical API (``lap`` as the context-manager name) via the
-    ``lap = stage`` alias StageProfiler already provides.
-    """
-
-    def __init__(self) -> None:
-        warnings.warn(
-            "repro.util.timing.Stopwatch is deprecated; use "
-            "repro.obs.profile.StageProfiler (or repro.obs.StageProfiler)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__()
+__all__ = ["timed"]

@@ -1,22 +1,28 @@
-"""Tests for the optimizer machinery (ArrayState, action columns, window
-replays and touched-row proofs)."""
+"""Tests for the optimizer machinery (action columns, touched-row proofs
+and repairs, the holder-index nearest source) and for the full-state
+oracles in ``tests/optimizer_oracle.py`` the property tests check them
+against."""
 
 import numpy as np
 import pytest
 
 from repro.core.optimizers.common import (
     ActionColumns,
-    ArrayState,
     Edit,
-    actions_cost,
     count_dummies,
+    delete_row,
+    nearest,
     transfer_row,
-    window_replay_with_repairs,
 )
 from repro.model.actions import Delete, Transfer
 from repro.model.instance import RtspInstance
 from repro.model.schedule import Schedule
 from repro.model.state import SystemState
+from tests.optimizer_oracle import (
+    ArrayState,
+    actions_cost,
+    window_replay_with_repairs,
+)
 
 
 @pytest.fixture
@@ -67,6 +73,16 @@ class TestArrayState:
     def test_nearest_exclude(self, inst):
         light = ArrayState(inst)
         assert light.nearest(2, 0, exclude=0) == inst.dummy
+
+    def test_holder_index_nearest_matches(self, inst):
+        """The optimizers' holder-set nearest agrees with the oracle's."""
+        light = ArrayState(inst)
+        for target in range(3):
+            for obj in range(2):
+                holders = np.flatnonzero(light.placement[:, obj]).tolist()
+                assert nearest(inst.costs, inst.dummy, target, holders) == (
+                    light.nearest(target, obj)
+                )
 
     def test_try_apply(self, inst):
         s = ArrayState(inst)
@@ -170,16 +186,36 @@ class TestWindowReplay:
         repaired = window_replay_with_repairs(start, window)
         assert repaired is not None
         assert repaired[1] == Transfer(2, 0, inst.dummy)
+        # The same rewrite as an edit of [T(2,0,0), D(0,0)]: hoist the
+        # deletion, which strands the transfer's source.
+        cols = columns(inst, [Transfer(2, 0, 0), Delete(0, 0)])
+        edit = Edit(0, 2, (delete_row(0, 0),), {1: ()})
+        assert not cols.proves(edit)
+        fixed = cols.repair(edit)
+        resourced = (transfer_row(2, 0, inst.dummy),)
+        assert fixed == Edit(0, 2, (delete_row(0, 0),), {1: (), 0: resourced})
+        assert cols.apply(fixed).to_schedule() == Schedule(repaired)
 
     def test_unrepairable_returns_none(self, inst):
         start = ArrayState(inst)
         # deleting an absent replica cannot be repaired
         assert window_replay_with_repairs(start, [Delete(2, 0)]) is None
+        cols = columns(inst, [Transfer(2, 0, 0)])
+        assert cols.repair(Edit(0, 1, (delete_row(2, 0),), {})) is None
 
     def test_repair_budget(self, inst):
         start = ArrayState(inst)
         window = [Delete(0, 0), Transfer(2, 0, 0)]
         assert window_replay_with_repairs(start, window, max_repairs=0) is None
+        cols = columns(inst, [Transfer(2, 0, 0), Delete(0, 0)])
+        edit = Edit(0, 2, (delete_row(0, 0),), {1: ()})
+        assert cols.repair(edit, max_repairs=0) is None
+        assert cols.repair(edit, max_repairs=1) is not None
+
+    def test_repair_returns_the_edit_when_nothing_breaks(self, inst):
+        cols = columns(inst, [Delete(0, 0), Transfer(2, 0, inst.dummy)])
+        edit = Edit(0, 2, (transfer_row(2, 0, 0),), {1: ()})
+        assert cols.repair(edit) is edit
 
 
 class TestAccounting:
@@ -233,6 +269,24 @@ class TestStructureQueries:
         assert columns(wide, actions).blocking_transfer(0, 1) is None
         actions = [Transfer(2, 7, 1), Delete(1, 7)]
         assert columns(wide, actions).blocking_transfer(1, 1) is None
+
+    def test_object_positions(self, wide):
+        actions = [Delete(0, 5), Transfer(1, 6, 0), Transfer(2, 5, 0)]
+        assert columns(wide, actions).object_positions(5) == [0, 2]
+        assert columns(wide, actions).object_positions(6) == [1]
+
+    def test_transfer_pairs(self, wide):
+        actions = [
+            Transfer(0, 1, 3),
+            Transfer(1, 2, 0),
+            Delete(0, 1),
+            Transfer(2, 1, 3),
+            Transfer(2, 2, 1),
+            Transfer(1, 1, 2),
+        ]
+        cols = columns(wide, actions)
+        assert list(cols.transfer_pairs()) == [(0, 3, 0), (1, 4, 0), (3, 5, 1)]
+        assert list(cols.transfer_pairs(2)) == [(3, 5, 1)]
 
     def test_dummy_positions(self, wide):
         actions = [

@@ -1,6 +1,4 @@
-"""Tests for the opt-in profilers and the deprecated Stopwatch shim."""
-
-import warnings
+"""Tests for the opt-in profilers."""
 
 import pytest
 
@@ -89,19 +87,3 @@ class TestTraceMemory:
             assert inner.peak >= 0
             assert tracemalloc.is_tracing()
         assert not tracemalloc.is_tracing()
-
-
-class TestStopwatchShim:
-    def test_stopwatch_warns_and_subclasses(self):
-        from repro.util.timing import Stopwatch
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sw = Stopwatch()
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert isinstance(sw, StageProfiler)
-        with sw.lap("legacy"):
-            pass
-        assert "legacy" in sw.laps

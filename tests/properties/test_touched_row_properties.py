@@ -3,7 +3,8 @@
 H1 and H2 prove a candidate rewrite on the rows of the servers it
 touches (:meth:`repro.core.optimizers.common.ActionColumns.proves`).
 The oracle below is the proof it replaced: replay the whole rewritten
-window, action by action, over a full :class:`ArrayState` at the
+window, action by action, over a full ``ArrayState`` (the test-only
+oracle in ``tests/optimizer_oracle.py``) at the
 window's start. On random valid schedules with random rewrites —
 injected actions, hoisted (moved) actions, re-sourced transfers, dropped
 actions — the two must agree on every candidate. Sizes are fractional
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from repro.core import get_builder, get_optimizer
 from repro.core.optimizers.common import (
     ActionColumns,
-    ArrayState,
     Edit,
     delete_row,
     transfer_row,
@@ -28,6 +28,7 @@ from repro.model.instance import RtspInstance
 from repro.model.schedule import KIND_TRANSFER, Schedule
 from repro.model.state import CAPACITY_EPS
 from repro.workloads.regular import regular_placement_pair
+from tests.optimizer_oracle import ArrayState
 
 SIZES = (0.1, 0.2, 0.3, 1.0 / 3.0, 0.7, 1.0)
 

@@ -1,42 +1,9 @@
-"""Tests for the deprecated :mod:`repro.util.timing` shim.
-
-The real timing API lives in :mod:`repro.obs.profile`
-(:class:`StageProfiler`); these tests pin the shim's contract — the old
-``Stopwatch`` surface keeps working but warns — while the behavioral
-tests below run against ``StageProfiler`` directly.
-"""
+"""Tests for the stage wall clock, :class:`repro.obs.profile.StageProfiler`,
+and its :func:`~repro.obs.profile.timed` decorator."""
 
 import time
 
-import pytest
-
 from repro.obs.profile import StageProfiler, timed
-from repro.util.timing import Stopwatch
-
-
-def deprecated_stopwatch() -> Stopwatch:
-    with pytest.warns(DeprecationWarning, match="StageProfiler"):
-        return Stopwatch()
-
-
-class TestStopwatchShim:
-    def test_construction_warns(self):
-        deprecated_stopwatch()
-
-    def test_is_a_stage_profiler(self):
-        assert isinstance(deprecated_stopwatch(), StageProfiler)
-
-    def test_lap_alias_still_records(self):
-        sw = deprecated_stopwatch()
-        with sw.lap("work"):
-            time.sleep(0.01)
-        assert sw.laps["work"] >= 0.005
-
-    def test_plain_profiler_does_not_warn(self, recwarn):
-        StageProfiler()
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
 
 
 class TestStageProfiler:
