@@ -4,8 +4,8 @@ The zero-overhead-when-off contract is structural (hot paths capture
 instruments once and skip them with a single ``is None`` check), but
 this script puts a number on it. Three planning tiers are timed —
 
-* ``direct``  — the reference pipeline on a paper-sized instance;
-* ``flat``    — the array-core builder on a scale-bench medium
+* ``direct``  — GOLCF+H1+H2+OP1 on a paper-sized instance;
+* ``flat``    — the GOLCF builder alone on a scale-bench medium
   instance (100x1000);
 * ``sharded`` — ``plan_sharded`` over a shard-bench medium composed
   instance (8 blocks of 25x250);
@@ -52,8 +52,8 @@ import time
 
 from scale_bench import synth_instance
 
+from repro.core.base import get_builder
 from repro.core.pipeline import build_pipeline
-from repro.flat import flat_build
 from repro.obs import (
     EventStream,
     MetricsRegistry,
@@ -84,7 +84,8 @@ def _tier_direct(seed):
 
 def _tier_flat(seed):
     instance = synth_instance(100, 1000, seed=seed)
-    return lambda: flat_build("GOLCF", instance, rng=seed), {
+    builder = get_builder("GOLCF")
+    return lambda: builder.build(instance, rng=seed), {
         "num_servers": 100, "num_objects": 1000, "builder": "GOLCF",
     }
 

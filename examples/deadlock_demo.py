@@ -15,7 +15,7 @@ transfer: a deadlock. The demo shows
 Run:  python examples/deadlock_demo.py
 """
 
-from repro import build_pipeline, solve_exact
+from repro import build_pipeline, solve_optimal
 from repro.analysis import (
     analyze_feasibility,
     build_transfer_graph,
@@ -48,10 +48,10 @@ def main() -> None:
     improved = build_pipeline("RDF+H1+H2").run(instance, rng=0)
     print(f"  RDF+H1+H2:    {improved.summary(instance)}")
 
-    result = solve_exact(instance)
+    result = solve_optimal(instance)
     print(f"  exact optimum: cost={result.cost:g}, "
           f"dummy transfers={result.schedule.count_dummy_transfers(instance)} "
-          f"(searched {result.nodes} nodes, complete={result.complete})")
+          f"(searched {result.stats.nodes} nodes, {result.status})")
     print("\n  optimal schedule:")
     for action in result.schedule:
         print(f"    {action}")

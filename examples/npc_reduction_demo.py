@@ -10,7 +10,7 @@ subset through the hub's spare storage.
 Run:  python examples/npc_reduction_demo.py
 """
 
-from repro.core import solve_exact
+from repro.exact import solve_optimal
 from repro.npc import (
     KnapsackInstance,
     canonical_schedule,
@@ -42,9 +42,9 @@ def main() -> None:
           f"cost={seed.cost(rtsp):,.0f} "
           f"(closed form {canonical_cost(reduction, dp.chosen):,.0f})")
 
-    result = solve_exact(rtsp, initial=seed, allow_staging=False)
+    result = solve_optimal(rtsp, allow_staging=False)
     print(f"exact RTSP optimum: cost={result.cost:,.0f} "
-          f"({result.nodes} nodes, complete={result.complete})")
+          f"({result.stats.nodes} nodes, {result.status})")
 
     subset, value = decode_schedule(reduction, result.schedule)
     print(f"decoded from the optimal schedule: subset={subset} value={value}")

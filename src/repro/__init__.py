@@ -18,8 +18,7 @@ Package map
 -----------
 * :mod:`repro.model` — instances, actions, schedules, simulation state
 * :mod:`repro.network` — topologies and cost matrices (BRITE-like BA tree)
-* :mod:`repro.core` — the paper's heuristics (builders + optimizers) and
-  an exact branch-and-bound solver
+* :mod:`repro.core` — the paper's heuristics (builders + optimizers)
 * :mod:`repro.analysis` — transfer graphs, feasibility, bounds, metrics
 * :mod:`repro.workloads` — experiment workloads and the video scenario
 * :mod:`repro.placement` — greedy replica placement (the upstream producer
@@ -42,7 +41,6 @@ from repro.model import (
 )
 from repro.core import (
     AllRandom,
-    ExactSolver,
     GreedyObjectLowestCostFirst,
     GroupedServerDeletionsFirst,
     H1MoveDummyTransfers,
@@ -55,7 +53,6 @@ from repro.core import (
     build_pipeline,
     get_builder,
     get_optimizer,
-    solve_exact,
 )
 from repro.analysis import (
     analyze_feasibility,
@@ -112,7 +109,6 @@ __all__ = [
     "ValidationReport",
     # core
     "AllRandom",
-    "ExactSolver",
     "GreedyObjectLowestCostFirst",
     "GroupedServerDeletionsFirst",
     "H1MoveDummyTransfers",
@@ -125,7 +121,6 @@ __all__ = [
     "build_pipeline",
     "get_builder",
     "get_optimizer",
-    "solve_exact",
     # analysis
     "analyze_feasibility",
     "count_dummy_transfers",

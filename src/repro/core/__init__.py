@@ -14,7 +14,7 @@ Optimizers rewrite an existing valid schedule:
 * :class:`~repro.core.optimizers.op1.OP1ReorderTransfers` (OP1, §4.2)
 
 :mod:`repro.core.pipeline` composes them (``GOLCF+H1+H2+OP1`` is the
-paper's winner); :mod:`repro.core.exact` provides a branch-and-bound
+paper's winner); :mod:`repro.exact` provides the branch-and-bound
 optimum for small instances.
 """
 
@@ -36,7 +36,6 @@ from repro.core.optimizers.h2 import H2CreateSuperfluousReplicas
 from repro.core.optimizers.op1 import OP1ReorderTransfers
 from repro.core.optimizers.nsr import NearestSourceRefinement
 from repro.core.pipeline import Pipeline, build_pipeline, PAPER_PIPELINES
-from repro.core.exact import ExactSolver, solve_exact, decide_rtsp
 
 __all__ = [
     "ScheduleBuilder",
@@ -57,7 +56,4 @@ __all__ = [
     "Pipeline",
     "build_pipeline",
     "PAPER_PIPELINES",
-    "ExactSolver",
-    "solve_exact",
-    "decide_rtsp",
 ]

@@ -19,6 +19,10 @@ per outstanding cell and one deletion per superfluous cell of
 * :class:`~repro.core.builders.gmc.GlobalMinimumCostFirst` (``GMC``,
   extension) — globally cheapest pending transfer each step.
 
+Every builder records its actions as int32 columns (through
+:class:`~repro.core.builders.common.BuildLog`) and returns a lazy
+:class:`~repro.flat.buffers.FlatSchedule`.
+
 Determinism contract: all randomness flows through
 :func:`repro.util.rng.ensure_rng`, so ``build(instance, rng=seed)`` with
 an ``int`` seed returns an identical schedule on every call, and dummy

@@ -17,22 +17,16 @@ pending one at its position in the schedule.
 
 from __future__ import annotations
 
-from repro.core.base import (
-    ScheduleBuilder,
-    append_transfer_from_nearest,
-    register_builder,
-)
+from repro.core.base import ScheduleBuilder, register_builder
 from repro.core.builders.common import (
+    BuildLog,
     EvictionBenefitCache,
     PendingTransferSelector,
-    evict_for,
-    flush_deletions,
     pending_deletion_map,
     pending_transfer_map,
 )
+from repro.flat.buffers import FlatSchedule
 from repro.model.instance import RtspInstance
-from repro.model.schedule import Schedule
-from repro.model.state import SystemState
 from repro.util.rng import ensure_rng
 
 
@@ -42,37 +36,21 @@ class GlobalMinimumCostFirst(ScheduleBuilder):
 
     name = "GMC"
 
-    def build(self, instance: RtspInstance, rng=None) -> Schedule:
-        # Lazy import: repro.flat builds on repro.core, not vice versa.
-        from repro.flat import flat_build, use_flat
-
-        if use_flat(instance):
-            return flat_build(self.name, instance, rng=rng)
+    def build(self, instance: RtspInstance, rng=None) -> FlatSchedule:
         gen = ensure_rng(rng)
-        state = SystemState(instance)
-        schedule = Schedule()
+        log = BuildLog(instance)
         targets, waiting = pending_transfer_map(instance, gen)
         deletions = pending_deletion_map(instance, gen)
-        selector = PendingTransferSelector(state, targets)
-        benefits = EvictionBenefitCache(state, waiting)
+        selector = PendingTransferSelector(log.state, targets)
+        benefits = EvictionBenefitCache(log.state, waiting)
         while not selector.exhausted:
             best_obj, best_pos, target = selector.best()
             selector.pop_target(best_obj, best_pos)
-            victims = evict_for(
-                schedule,
-                state,
-                target,
-                best_obj,
-                deletions,
-                waiting,
-                benefit_cache=benefits,
-            )
-            for victim in victims:
-                selector.mark_dirty(victim)
-            append_transfer_from_nearest(schedule, state, target, best_obj)
+            victims = log.evict(target, best_obj, deletions, benefits)
+            log.transfer(target, best_obj)
             # The delivered copy is a new source for the object's
             # remaining pending targets.
-            selector.mark_dirty(best_obj)
+            selector.mark_dirty(victims + [best_obj])
             waiting[best_obj].discard(target)
-        flush_deletions(schedule, state, deletions, gen)
-        return schedule
+        log.flush(deletions, gen)
+        return log.schedule()

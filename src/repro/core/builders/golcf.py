@@ -22,23 +22,55 @@ deterministic per seed and vary across seeds.
 
 from __future__ import annotations
 
-from repro.core.base import (
-    ScheduleBuilder,
-    append_transfer_from_nearest,
-    register_builder,
-)
+from typing import List
+
+import numpy as np
+
+from repro.core.base import ScheduleBuilder, register_builder
 from repro.core.builders.common import (
+    BuildLog,
     EvictionBenefitCache,
     PendingTransferSelector,
-    evict_for,
-    flush_deletions,
     pending_deletion_map,
     pending_transfer_map,
 )
+from repro.flat.buffers import FlatSchedule
 from repro.model.instance import RtspInstance
-from repro.model.schedule import Schedule
 from repro.model.state import SystemState
 from repro.util.rng import ensure_rng
+
+
+def _cheapest_target(state: SystemState, pend: List[int], obj: int) -> int:
+    """First-minimum position of the cheapest pending target of ``obj``.
+
+    Adaptive like the selector's refresh (and on the same threshold,
+    ``PendingTransferSelector._SCALAR_BLOCK``): a scalar scan for tiny
+    blocks (the common case at the paper's replica counts), one padded
+    gather + row-min over ``pend x (holders + dummy)`` otherwise. Both
+    take the minimum over the same candidates and keep the first
+    minimum, so the chosen position is identical.
+    """
+    holders = state.index.holders(obj)
+    dummy = state.dummy
+    costs = state.instance.costs
+    if len(pend) * (len(holders) + 1) <= PendingTransferSelector._SCALAR_BLOCK:
+        best_pos, best_unit = 0, None
+        for pos, t in enumerate(pend):
+            row = costs[t]
+            unit = row[dummy]
+            for j in holders:
+                c = row[j]
+                if c < unit:
+                    unit = c
+            if best_unit is None or unit < best_unit:
+                best_pos, best_unit = pos, unit
+        return best_pos
+    rows = np.asarray(pend, dtype=np.intp)
+    cand = np.full((len(pend), 1 + len(holders)), dummy, dtype=np.intp)
+    if holders:
+        cand[:, 1:] = list(holders)
+    units = costs[rows[:, None], cand].min(axis=1)
+    return int(np.argmin(units))
 
 
 @register_builder
@@ -47,43 +79,25 @@ class GreedyObjectLowestCostFirst(ScheduleBuilder):
 
     name = "GOLCF"
 
-    def build(self, instance: RtspInstance, rng=None) -> Schedule:
-        # Lazy import: repro.flat builds on repro.core, not vice versa.
-        from repro.flat import flat_build, use_flat
-
-        if use_flat(instance):
-            return flat_build(self.name, instance, rng=rng)
+    def build(self, instance: RtspInstance, rng=None) -> FlatSchedule:
         gen = ensure_rng(rng)
-        state = SystemState(instance)
-        schedule = Schedule()
+        log = BuildLog(instance)
         targets, waiting = pending_transfer_map(instance, gen)
         deletions = pending_deletion_map(instance, gen)
-        selector = PendingTransferSelector(state, targets)
-        benefits = EvictionBenefitCache(state, waiting)
+        selector = PendingTransferSelector(log.state, targets)
+        benefits = EvictionBenefitCache(log.state, waiting)
         while not selector.exhausted:
             best_obj, _, _ = selector.best()
             pend = targets.pop(best_obj)
             selector.pop_object(best_obj)
+            obj_waiting = waiting[best_obj]
             while pend:
                 # Cheapest target of the chosen object at this moment.
-                best_pos, best_unit = 0, None
-                for pos, t in enumerate(pend):
-                    unit = state.nearest_cost(t, best_obj)
-                    if best_unit is None or unit < best_unit:
-                        best_pos, best_unit = pos, unit
-                target = pend.pop(best_pos)
-                victims = evict_for(
-                    schedule,
-                    state,
-                    target,
-                    best_obj,
-                    deletions,
-                    waiting,
-                    benefit_cache=benefits,
+                target = pend.pop(_cheapest_target(log.state, pend, best_obj))
+                selector.mark_dirty(
+                    log.evict(target, best_obj, deletions, benefits)
                 )
-                for victim in victims:
-                    selector.mark_dirty(victim)
-                append_transfer_from_nearest(schedule, state, target, best_obj)
-                waiting[best_obj].discard(target)
-        flush_deletions(schedule, state, deletions, gen)
-        return schedule
+                log.transfer(target, best_obj)
+                obj_waiting.discard(target)
+        log.flush(deletions, gen)
+        return log.schedule()

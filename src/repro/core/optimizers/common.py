@@ -78,6 +78,7 @@ from typing import (
 
 import numpy as np
 
+from repro.flat.buffers import FlatSchedule
 from repro.model.actions import Action, Delete, Transfer
 from repro.model.instance import RtspInstance
 from repro.model.schedule import (
@@ -254,8 +255,6 @@ class ActionColumns:
     ) -> "ActionColumns":
         """Columns of ``schedule``; a lazy ``FlatSchedule`` is read from
         its buffer without materializing."""
-        from repro.flat.buffers import FlatSchedule
-
         start = _StartRows(instance)
         if isinstance(schedule, FlatSchedule) and not schedule.materialized:
             table = np.stack(schedule._buffer.columns(), axis=1)

@@ -102,17 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for fault-plan generation in --figure robust (default 0)",
     )
     parser.add_argument(
-        "--flat",
-        default=None,
-        choices=("auto", "on", "off"),
-        help=(
-            "builder core selection: 'on' forces the flat "
-            "structure-of-arrays core, 'off' the reference object path, "
-            "'auto' (default) switches on instance size; schedules are "
-            "byte-identical either way"
-        ),
-    )
-    parser.add_argument(
         "--chart", action="store_true", help="print ASCII charts too"
     )
     parser.add_argument(
@@ -218,12 +207,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     profile_report = None
     with ExitStack() as stack:
-        if args.flat is not None:
-            # Scoped override: the previous mode is restored even when a
-            # run raises, so embedders calling main() never inherit it.
-            from repro.flat import flat_mode_override
-
-            stack.enter_context(flat_mode_override(args.flat))
         stack.enter_context(
             observed(tracer=tracer, metrics=metrics, events=events)
         )

@@ -1,36 +1,12 @@
-"""repro.flat — structure-of-arrays builder core.
+"""repro.flat — structure-of-arrays action storage.
 
-A drop-in fast path for the schedule builders: flat int32 action
-buffers instead of per-action dataclasses, trusted state mutators
-instead of per-action validation, and wave-batched selector refreshes
-instead of per-object loops — producing schedules byte-identical to the
-reference object path (enforced by the differential suites under
-``tests/flat/`` and ``tests/properties/``).
-
-Selection between the two cores is a pure performance decision; see
-:mod:`repro.flat.config` for the ``auto``/``on``/``off`` policy.
+:class:`FlatActionBuffer` records a schedule as four parallel int32
+columns, and :class:`FlatSchedule` is the lazy :class:`~repro.model.
+schedule.Schedule` over it. Every registered builder
+(:mod:`repro.core.builders`) records into these columns, and the
+optimizers read them without materializing action objects.
 """
 
 from repro.flat.buffers import FlatActionBuffer, FlatSchedule
-from repro.flat.builders import flat_build, flat_builder_names
-from repro.flat.config import (
-    FLAT_AUTO_CELLS,
-    flat_mode,
-    flat_mode_override,
-    set_flat_mode,
-    use_flat,
-)
-from repro.flat.selector import FlatTransferSelector
 
-__all__ = [
-    "FLAT_AUTO_CELLS",
-    "FlatActionBuffer",
-    "FlatSchedule",
-    "FlatTransferSelector",
-    "flat_build",
-    "flat_builder_names",
-    "flat_mode",
-    "flat_mode_override",
-    "set_flat_mode",
-    "use_flat",
-]
+__all__ = ["FlatActionBuffer", "FlatSchedule"]

@@ -1,4 +1,4 @@
-"""Arena-style action storage for the flat builder core.
+"""Arena-style action storage for the schedule builders.
 
 :class:`FlatActionBuffer` records a schedule as four parallel ``int32``
 columns (kind / target-or-server / object / source) instead of a list of

@@ -14,6 +14,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.flat.buffers import FlatSchedule
+from repro.model.actions import Transfer
 from repro.model.instance import RtspInstance
 from repro.model.schedule import KIND_TRANSFER, Schedule
 from repro.shard.mmapcost import CostMatrixStore
@@ -71,15 +73,7 @@ class SubInstance:
 
 def _local_columns(schedule: Schedule, local_dummy: int) -> Columns:
     """Flat ``(kinds, primary, objs, sources)`` columns of ``schedule``."""
-    try:
-        from repro.flat.buffers import FlatSchedule
-    except ImportError:  # pragma: no cover - flat core always ships
-        FlatSchedule = None  # type: ignore[assignment]
-    if (
-        FlatSchedule is not None
-        and isinstance(schedule, FlatSchedule)
-        and not schedule.materialized
-    ):
+    if isinstance(schedule, FlatSchedule) and not schedule.materialized:
         kind, primary, obj, source = schedule._buffer.columns()
         return (
             kind.tolist(),
@@ -91,8 +85,6 @@ def _local_columns(schedule: Schedule, local_dummy: int) -> Columns:
     primary: List[int] = []
     objs: List[int] = []
     sources: List[int] = []
-    from repro.model.actions import Transfer
-
     for action in schedule:
         if isinstance(action, Transfer):
             kinds.append(KIND_TRANSFER)

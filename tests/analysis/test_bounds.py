@@ -10,7 +10,8 @@ from repro.analysis.bounds import (
     worst_case_upper_bound,
 )
 from repro.analysis.examples import fig1_deadlock_instance, fig3_example_instance
-from repro.core import build_pipeline, solve_exact
+from repro.core import build_pipeline
+from repro.exact import solve_optimal
 from repro.model.instance import RtspInstance
 
 
@@ -25,8 +26,8 @@ def example(request):
 
 class TestUniversalLowerBound:
     def test_below_exact_optimum(self, example):
-        result = solve_exact(example, max_nodes=200_000)
-        assert result.complete
+        result = solve_optimal(example)
+        assert result.proved_optimal
         assert universal_lower_bound(example) <= result.cost + 1e-9
 
     def test_zero_when_nothing_outstanding(self):
@@ -56,7 +57,7 @@ class TestNearestSourceBound:
 
     def test_below_exact_optimum_on_triangle_costs(self, example):
         # both example cost matrices obey the triangle inequality
-        result = solve_exact(example, max_nodes=200_000)
+        result = solve_optimal(example)
         assert nearest_source_bound(example) <= result.cost + 1e-9
 
 

@@ -133,14 +133,14 @@ class TestStartRows:
 
     def test_flat_schedule_read_without_materializing(self):
         from repro.core import get_builder
-        from repro.flat.builders import flat_golcf
         from repro.workloads.regular import paper_instance
+        from tests.builder_oracle import oracle_build
 
         inst = paper_instance(2, 8, 20, rng=1)
-        flat = flat_golcf(inst, rng=3)
+        flat = get_builder("GOLCF").build(inst, rng=3)
         cols = ActionColumns.from_schedule(inst, flat)
         assert not flat.materialized
-        assert cols.to_schedule() == get_builder("GOLCF").build(inst, rng=3)
+        assert cols.to_schedule() == oracle_build("GOLCF", inst, rng=3)
 
 
 class TestWindowReplay:

@@ -3,7 +3,7 @@
 ``tests/golden/optimizers.json`` holds the sha256 of the schedule after
 each stage (GOLCF, then +H1, +H2 and +OP1) for three kinds of input:
 the paper's §5.1 cell (``paper_instance(2, 50, 500)``, seeds 0-2), one
-instance large enough for the flat builder core, and a synthetic
+100x500 instance, and a synthetic
 instance with fractional sizes whose capacities sit within
 ``CAPACITY_EPS`` of the demand. Any change to an optimizer's
 accept/reject decisions shows up as a digest mismatch.
@@ -70,7 +70,8 @@ def cases():
         (f"paper-50x500-s{seed}", paper_instance(2, 50, 500, rng=seed), seed)
         for seed in range(3)
     ]
-    # 100 x 500 = 5e4 cells: the flat builder core's threshold.
+    # The "flat-" prefix is a corpus key from when only instances of at
+    # least 5e4 cells ran the array builder core.
     out.append(("flat-100x500-s7", paper_instance(2, 100, 500, rng=7), 7))
     out.append(("eps-edge-30x240-s3", epsilon_edge_instance(3), 3))
     return out
@@ -228,13 +229,6 @@ def test_corpus_covers_every_case_and_exercises_the_optimizers():
         assert [s["stage"] for s in stages] == ["GOLCF", "H1", "H2", "OP1"]
         # Every case starts with dummy transfers for H1/H2 to work on.
         assert stages[0]["dummies"] > 0, name
-
-
-def test_flat_case_is_on_the_flat_core():
-    from repro.flat.config import FLAT_AUTO_CELLS
-
-    inst = {name: i for name, i, _ in CASES}["flat-100x500-s7"]
-    assert inst.num_servers * inst.num_objects >= FLAT_AUTO_CELLS
 
 
 if __name__ == "__main__":  # pragma: no cover - corpus regeneration

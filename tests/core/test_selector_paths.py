@@ -1,13 +1,14 @@
 """Path-identity regression: the selector's scalar and gather refreshes.
 
-``PendingTransferSelector._refresh_obj`` picks between a Python scalar
-scan and a NumPy gather based on ``_SCALAR_BLOCK``. Schedules must never
-depend on which side of the threshold an instance lands on, so these
-tests pin the threshold to both extremes (0 = always gather, huge =
-always scalar) on the *same* instances — including fractional data,
-where a summation-order slip would show up first — and require
-byte-identical schedules. See the "Path-identity contract" paragraph in
-the selector's docstring.
+``PendingTransferSelector`` (and GOLCF's cheapest-target scan, on the
+same threshold) picks between a Python scalar scan and a NumPy gather
+based on ``_SCALAR_BLOCK``. Schedules must never depend on which side of
+the threshold an instance lands on, so these tests pin the threshold to
+both extremes (0 = always gather, huge = always scalar) on the *same*
+instances — including fractional data, where a summation-order slip
+would show up first — and require byte-identical schedules, equal to
+the reference object path of ``tests/builder_oracle.py``. See the
+"Path-identity contract" paragraph in the selector's docstring.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.core.base import get_builder
 from repro.core.builders.common import PendingTransferSelector
 from repro.model.instance import RtspInstance
 from repro.util.errors import ConfigurationError
+from tests.builder_oracle import oracle_build
 
 BUILDERS = ["GOLCF", "GMC"]  # the selector's only users
 
@@ -66,6 +68,7 @@ def test_scalar_and_gather_refresh_produce_identical_schedules(
     assert scalar.actions() == gather.actions(), (
         f"{builder} diverged between scalar and gather refresh paths"
     )
+    assert gather.actions() == oracle_build(builder, inst, rng=seed).actions()
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
@@ -75,6 +78,7 @@ def test_default_threshold_matches_both_forced_paths(monkeypatch, builder):
     monkeypatch.setattr(PendingTransferSelector, "_SCALAR_BLOCK", 0)
     gather = get_builder(builder).build(inst, rng=5)
     assert default.actions() == gather.actions()
+    assert default.actions() == oracle_build(builder, inst, rng=5).actions()
 
 
 def test_nan_costs_rejected_at_instance_boundary():
@@ -112,3 +116,4 @@ def test_infinite_costs_keep_paths_identical(monkeypatch):
     monkeypatch.setattr(PendingTransferSelector, "_SCALAR_BLOCK", 0)
     gather = get_builder("GMC").build(inst, rng=0)
     assert scalar.actions() == gather.actions()
+    assert gather.actions() == oracle_build("GMC", inst, rng=0).actions()

@@ -1,9 +1,10 @@
-"""Flat-vs-reference differential suite + selection-policy tests.
+"""Builder-vs-oracle differential suite.
 
-The acceptance gate for the flat core: over the exact subsystem's
-differential families, every builder x seed must produce a flat schedule
-*byte-identical* to the reference object path, and the auto/on/off
-selection policy must route builds correctly.
+The acceptance gate for the builder core: over the exact subsystem's
+differential families, every builder x seed must produce a schedule
+*byte-identical* to the reference object path kept in
+``tests/builder_oracle.py``, and every build must return a lazy
+:class:`~repro.flat.buffers.FlatSchedule`.
 """
 
 import numpy as np
@@ -11,28 +12,13 @@ import pytest
 
 from repro.core.base import get_builder
 from repro.exact.differential import DEFAULT_FAMILIES, family_instances
-from repro.flat import (
-    FLAT_AUTO_CELLS,
-    FlatSchedule,
-    flat_build,
-    flat_builder_names,
-    flat_mode,
-    flat_mode_override,
-    set_flat_mode,
-    use_flat,
-)
+from repro.flat import FlatSchedule
 from repro.model.instance import RtspInstance
 from repro.util.errors import ConfigurationError
 from repro.workloads.regular import paper_instance
+from tests.builder_oracle import BUILDERS, oracle_build
 
-BUILDERS = flat_builder_names()
 SEEDS = (0, 1, 2)
-
-
-@pytest.fixture(autouse=True)
-def _reset_flat_mode():
-    yield
-    set_flat_mode(None)
 
 
 def test_all_paper_builders_have_flat_twins():
@@ -44,8 +30,8 @@ def test_all_paper_builders_have_flat_twins():
 def test_flat_matches_reference_on_differential_families(family, builder):
     for inst in family_instances(family):
         for seed in SEEDS:
-            ref = get_builder(builder).build(inst, rng=seed)
-            flat = flat_build(builder, inst, rng=seed)
+            ref = oracle_build(builder, inst, rng=seed)
+            flat = get_builder(builder).build(inst, rng=seed)
             assert isinstance(flat, FlatSchedule)
             assert ref.actions() == flat.actions(), (
                 f"{family}/{builder}/seed={seed}: flat diverged"
@@ -58,15 +44,14 @@ def test_flat_matches_reference_on_paper_workload(builder):
         replicas=2, num_servers=12, num_objects=50, rng=99
     )
     for seed in SEEDS:
-        ref = get_builder(builder).build(inst, rng=seed)
-        flat = flat_build(builder, inst, rng=seed)
+        ref = oracle_build(builder, inst, rng=seed)
+        flat = get_builder(builder).build(inst, rng=seed)
         assert ref.actions() == flat.actions()
 
 
 def test_flat_build_rejects_unknown_builder():
-    inst = paper_instance(replicas=2, num_servers=4, num_objects=8, rng=1)
-    with pytest.raises(ConfigurationError, match="no flat implementation"):
-        flat_build("H1", inst)
+    with pytest.raises(ConfigurationError, match="unknown builder"):
+        get_builder("H1")
 
 
 def _tiny_instance() -> RtspInstance:
@@ -79,77 +64,11 @@ def _tiny_instance() -> RtspInstance:
 
 
 def test_mode_on_routes_builders_through_flat_core():
+    # There is one builder core: even the smallest instance gets a
+    # FlatSchedule back.
     inst = _tiny_instance()
-    set_flat_mode("on")
     sched = get_builder("GOLCF").build(inst, rng=0)
     assert isinstance(sched, FlatSchedule)
-
-
-def test_mode_off_keeps_reference_core():
-    inst = _tiny_instance()
-    set_flat_mode("off")
-    sched = get_builder("GOLCF").build(inst, rng=0)
-    assert not isinstance(sched, FlatSchedule)
-
-
-def test_auto_mode_thresholds_on_cell_count():
-    small = _tiny_instance()
-    assert flat_mode() == "auto"
-    assert not use_flat(small)
-    # A large instance is over the cell threshold without being built:
-    # use_flat only reads the dimensions.
-    big = paper_instance(
-        replicas=2, num_servers=50, num_objects=1200, rng=3
-    )
-    assert big.num_servers * big.num_objects >= FLAT_AUTO_CELLS
-    assert use_flat(big)
-
-
-def test_mode_override_restores_previous_mode():
-    set_flat_mode("off")
-    with flat_mode_override("on"):
-        assert flat_mode() == "on"
-        with flat_mode_override(None):  # None forces env/default resolution
-            assert flat_mode() == "auto"
-        assert flat_mode() == "on"
-    assert flat_mode() == "off"
-
-
-def test_mode_override_restores_on_exception():
-    """The process-global mode must not leak out of a raising block."""
-    set_flat_mode(None)
-    with pytest.raises(RuntimeError):
-        with flat_mode_override("on"):
-            assert flat_mode() == "on"
-            raise RuntimeError("boom")
-    assert flat_mode() == "auto"
-
-
-def test_mode_override_rejects_bad_mode_without_clobbering():
-    set_flat_mode("off")
-    with pytest.raises(ConfigurationError):
-        with flat_mode_override("bogus"):
-            pass  # pragma: no cover - never entered
-    assert flat_mode() == "off"
-
-
-def test_env_variable_resolution(monkeypatch):
-    set_flat_mode(None)
-    monkeypatch.setenv("RTSP_FLAT", "on")
-    assert flat_mode() == "on"
-    monkeypatch.setenv("RTSP_FLAT", "0")
-    assert flat_mode() == "off"
-    monkeypatch.setenv("RTSP_FLAT", "bogus")
-    with pytest.raises(ConfigurationError):
-        flat_mode()
-    # An explicit set overrides the environment.
-    set_flat_mode("auto")
-    assert flat_mode() == "auto"
-
-
-def test_set_flat_mode_rejects_unknown():
-    with pytest.raises(ConfigurationError):
-        set_flat_mode("fastest")
 
 
 def test_flat_schedule_feeds_optimizer_pipeline():
@@ -158,8 +77,8 @@ def test_flat_schedule_feeds_optimizer_pipeline():
     from repro.core import get_optimizer
 
     inst = paper_instance(replicas=2, num_servers=10, num_objects=40, rng=5)
-    flat = flat_build("RDF", inst, rng=4)
-    ref = get_builder("RDF").build(inst, rng=4)
+    flat = get_builder("RDF").build(inst, rng=4)
+    ref = oracle_build("RDF", inst, rng=4)
     out_flat = get_optimizer("H1").optimize(inst, flat)
     out_ref = get_optimizer("H1").optimize(inst, ref)
     assert out_flat.actions() == out_ref.actions()

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core import solve_exact
+from repro.exact import solve_optimal
 from repro.npc.knapsack import KnapsackInstance, solve_knapsack
 from repro.npc.reduction import (
     canonical_cost,
@@ -105,11 +105,8 @@ class TestCanonicalSchedule:
 class TestRoundTrip:
     def test_exact_optimum_equals_dp_optimum(self, knap, reduction):
         dp = solve_knapsack(knap)
-        seed = canonical_schedule(reduction, dp.chosen)
-        result = solve_exact(
-            reduction.rtsp, initial=seed, allow_staging=False
-        )
-        assert result.complete
+        result = solve_optimal(reduction.rtsp, allow_staging=False)
+        assert result.proved_optimal
         assert result.cost == pytest.approx(canonical_cost(reduction, dp.chosen))
         subset, value = decode_schedule(reduction, result.schedule)
         assert value == dp.value
@@ -125,11 +122,8 @@ class TestRoundTrip:
         )
         dp = solve_knapsack(knap)
         reduction = reduce_knapsack_to_rtsp(knap)
-        seed_schedule = canonical_schedule(reduction, dp.chosen)
-        result = solve_exact(
-            reduction.rtsp, initial=seed_schedule, allow_staging=False
-        )
-        assert result.complete
+        result = solve_optimal(reduction.rtsp, allow_staging=False)
+        assert result.proved_optimal
         assert result.cost == pytest.approx(
             canonical_cost(reduction, dp.chosen)
         )
@@ -137,7 +131,6 @@ class TestRoundTrip:
     def test_decision_threshold_separates(self, knap, reduction):
         """Cost <= threshold(K) is achievable iff knapsack value >= K."""
         dp = solve_knapsack(knap)
-        seed = canonical_schedule(reduction, dp.chosen)
-        result = solve_exact(reduction.rtsp, initial=seed, allow_staging=False)
+        result = solve_optimal(reduction.rtsp, allow_staging=False)
         assert result.cost <= decision_threshold(knap, dp.value)
         assert result.cost > decision_threshold(knap, dp.value + 1)

@@ -210,3 +210,22 @@ class TestContext:
         with use_events(stream):
             assert current_events() is stream
         assert current_events() is None
+
+
+class TestBuilderHeartbeat:
+    def test_paper_sized_golcf_heartbeats_every_256_transfers(self):
+        from repro.core import get_builder
+        from repro.workloads.regular import paper_instance
+
+        inst = paper_instance(2, 50, 500, rng=0)
+        stream = EventStream()
+        with use_events(stream):
+            get_builder("GOLCF").build(inst, rng=0)
+        transfers, _ = inst.diff_counts()
+        assert transfers >= 256
+        beats = [
+            e.attrs["transfers"]
+            for e in stream.events
+            if e.name == "builder.progress"
+        ]
+        assert beats == list(range(256, transfers + 1, 256))

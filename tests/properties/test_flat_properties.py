@@ -1,11 +1,12 @@
-"""Property tests for the flat builder core (repro.flat).
+"""Property tests for the builder core against the reference oracle.
 
-The flat core's whole contract is byte-identity: for every builder and
-every seed, the flat path must emit exactly the action sequence the
-reference object path emits. Hypothesis drives random instances
-(including forced-dummy objects, empty servers, fractional sizes and
-zero-slack capacities) through both cores; the exact invariant oracle
-then re-checks the flat schedules from first principles.
+The builder core's whole contract is byte-identity: for every builder
+and every seed, the registered builder must emit exactly the action
+sequence the reference object path (``tests/builder_oracle.py``) emits.
+Hypothesis drives random instances (including forced-dummy objects,
+empty servers, fractional sizes and zero-slack capacities) through both;
+the exact invariant oracle then re-checks the schedules from first
+principles.
 """
 
 import numpy as np
@@ -15,10 +16,9 @@ from hypothesis import strategies as st
 from repro.core import get_builder
 from repro.exact.differential import DEFAULT_FAMILIES, family_instances
 from repro.exact.validate import check_invariants
-from repro.flat import FlatSchedule, flat_build, flat_builder_names
+from repro.flat import FlatSchedule
 from repro.model.instance import RtspInstance
-
-BUILDERS = flat_builder_names()
+from tests.builder_oracle import BUILDERS, oracle_build
 
 COMMON = dict(
     deadline=None,
@@ -73,8 +73,8 @@ def instances(draw, fractional: bool = False) -> RtspInstance:
 @given(inst=instances(), seed=st.integers(0, 2**31 - 1))
 def test_flat_matches_reference_for_every_builder(inst, seed):
     for name in BUILDERS:
-        ref = get_builder(name).build(inst, rng=seed)
-        flat = flat_build(name, inst, rng=seed)
+        ref = oracle_build(name, inst, rng=seed)
+        flat = get_builder(name).build(inst, rng=seed)
         assert ref.actions() == flat.actions(), (
             f"{name} flat/reference divergence at seed {seed}"
         )
@@ -84,8 +84,8 @@ def test_flat_matches_reference_for_every_builder(inst, seed):
 @given(inst=instances(fractional=True), seed=st.integers(0, 2**31 - 1))
 def test_flat_matches_reference_on_fractional_sizes(inst, seed):
     for name in BUILDERS:
-        ref = get_builder(name).build(inst, rng=seed)
-        flat = flat_build(name, inst, rng=seed)
+        ref = oracle_build(name, inst, rng=seed)
+        flat = get_builder(name).build(inst, rng=seed)
         assert ref.actions() == flat.actions(), (
             f"{name} flat/reference divergence (fractional) at seed {seed}"
         )
@@ -95,8 +95,8 @@ def test_flat_matches_reference_on_fractional_sizes(inst, seed):
 @given(inst=instances(), seed=st.integers(0, 2**31 - 1))
 def test_flat_cost_is_bit_identical_pre_materialization(inst, seed):
     for name in BUILDERS:
-        ref = get_builder(name).build(inst, rng=seed)
-        flat = flat_build(name, inst, rng=seed)
+        ref = oracle_build(name, inst, rng=seed)
+        flat = get_builder(name).build(inst, rng=seed)
         assert isinstance(flat, FlatSchedule)
         assert not flat.materialized
         # Vectorized arena cost before materialization...
@@ -115,7 +115,7 @@ def test_flat_schedules_pass_exact_oracle_on_differential_families():
         for inst in family_instances(family):
             for name in BUILDERS:
                 for seed in (0, 1, 2):
-                    flat = flat_build(name, inst, rng=seed)
+                    flat = get_builder(name).build(inst, rng=seed)
                     report = check_invariants(inst, flat)
                     assert report.ok, (
                         f"{family}/{name}/seed={seed}: {report.summary()}"

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import build_pipeline
+from repro.core.pipeline import Pipeline, build_pipeline
 from repro.exact.differential import DEFAULT_FAMILIES, family_instances
 from repro.exact.validate import check_invariants
-from repro.flat import flat_mode_override
 from repro.model.instance import RtspInstance
 from repro.model.schedule import Schedule
 from repro.shard import (
@@ -19,6 +18,7 @@ from repro.shard import (
 from repro.shard.subinstance import extract_subinstance
 from repro.util.errors import ConfigurationError
 from repro.util.rng import derive_seed
+from tests.builder_oracle import OracleBuilder
 
 PIPELINE = "GOLCF+H1"
 SEED = 7
@@ -60,11 +60,9 @@ class TestStitchDifferential:
         assert list(plan.schedule) == list(reference)
 
     def test_flat_core_stitches_identically(self, composed, pipeline):
-        baseline = plan_sharded(composed, pipeline, shards=2, rng=SEED)
-        with flat_mode_override("on"):
-            flat = plan_sharded(
-                composed, pipeline, shards=2, workers=2, rng=SEED
-            )
+        oracle = Pipeline(OracleBuilder("GOLCF"), pipeline.optimizers)
+        baseline = plan_sharded(composed, oracle, shards=2, rng=SEED)
+        flat = plan_sharded(composed, pipeline, shards=2, workers=2, rng=SEED)
         assert list(flat.schedule) == list(baseline.schedule)
 
     def test_single_part_matches_unsharded_planning(self, blocks, pipeline):

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import build_pipeline
-from repro.flat import flat_mode_override
+from repro.core.base import get_builder
+from repro.core.pipeline import Pipeline, build_pipeline
 from repro.model.actions import Delete, Transfer
 from repro.model.schedule import KIND_DELETE, KIND_TRANSFER
 from repro.shard import CostMatrixStore, partition_connected
 from repro.shard.subinstance import extract_subinstance
 from repro.util.errors import ConfigurationError
+from tests.builder_oracle import OracleBuilder, oracle_build
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +76,15 @@ class TestGlobalize:
 
     def test_flat_schedule_globalizes_identically(self, composed, first_part):
         sub = extract_subinstance(composed, first_part)
-        reference = build_pipeline("GOLCF+H1").run(sub.instance, rng=4)
-        with flat_mode_override("on"):
-            flat = build_pipeline("GOLCF+H1").run(sub.instance, rng=4)
+        pipeline = build_pipeline("GOLCF+H1")
+        reference = Pipeline(
+            OracleBuilder("GOLCF"), pipeline.optimizers
+        ).run(sub.instance, rng=4)
+        flat = pipeline.run(sub.instance, rng=4)
         assert sub.globalize(flat) == sub.globalize(reference)
+        # The builder's lazy columns take globalize's unmaterialized path.
+        built = get_builder("GOLCF").build(sub.instance, rng=4)
+        assert sub.globalize(built) == sub.globalize(
+            oracle_build("GOLCF", sub.instance, rng=4)
+        )
+        assert not built.materialized
