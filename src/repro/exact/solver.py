@@ -48,7 +48,9 @@ worst-case argument (§3.3) also lives entirely in this space.
 
 The incumbent is seeded with the best heuristic pipeline result
 (deterministic, ``rng=0``), so the search starts with a tight upper
-bound instead of discovering one.
+bound instead of discovering one. With ``allow_staging=False`` a seed
+that copies any replica outside ``X_new`` is skipped, since it lies
+outside the searched space.
 
 Budgets and statuses
 --------------------
@@ -247,10 +249,26 @@ class BranchAndBoundSolver:
     def _seed_from_heuristics(self, instance: RtspInstance) -> None:
         for spec in self.seed_pipelines:
             schedule = build_pipeline(spec).run(instance, rng=0)
+            if not self.allow_staging and self._stages(instance, schedule):
+                continue
             report = schedule.validate(instance)
             if report.ok and report.cost < self._best_cost:
                 self._best_cost = report.cost
                 self._best_actions = schedule.actions()
+
+    @staticmethod
+    def _stages(instance: RtspInstance, schedule: Schedule) -> bool:
+        """True if ``schedule`` copies a replica onto a cell outside ``X_new``.
+
+        Such a seed lies outside the unstaged search space, so adopting
+        it would let ``allow_staging=False`` return a staged schedule.
+        """
+        x_new = instance.x_new
+        return any(
+            isinstance(action, Transfer)
+            and not x_new[action.target, action.obj]
+            for action in schedule.actions()
+        )
 
     # ------------------------------------------------------------------
     # bounds and bookkeeping

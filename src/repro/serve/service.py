@@ -350,8 +350,14 @@ class PlanningService:
                 if deep:
                     # Builder heartbeats land on the job stream and act
                     # as cancellation checkpoints. One deep job at a
-                    # time: the obs context is process-global.
+                    # time: the obs context is process-global, so events
+                    # that other jobs' threads emit into it are dropped
+                    # rather than recorded and checked against this job.
+                    owner = threading.get_ident()
+
                     def _forward(event: Any) -> None:
+                        if threading.get_ident() != owner:
+                            return
                         ctx.job.record(event.name, **event.attrs)
                         ctx.check()
 

@@ -138,7 +138,7 @@ class TestIndexCopy:
         # so queries on a copied state crashed on the cold path.
         instance = _instance()
         state = SystemState(instance)
-        state.nearest_costs(0)  # promote obj 0 to the cached regime
+        state.index.nearest_cost_row(0)  # promote obj 0 to the cached regime
         dup = state.copy()
         for obj in range(instance.num_objects):
             for server in range(instance.num_servers):

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import build_pipeline
 from repro.io import instance_to_dict, schedule_to_dict
+from repro.model.schedule import Schedule
+from repro.obs.context import current_events
 from repro.serve import ServeConfig, PlanningService
 from repro.serve.cache import topology_hash
+from repro.serve.jobs import Job, JobContext
 from repro.serve.schemas import (
     BATCH_REQUEST_FORMAT,
     BATCH_RESPONSE_FORMAT,
@@ -394,3 +399,42 @@ class TestDefaultTimeout:
             status, payload = service.plan(plan_payload(small_instance))
             assert status == 504
             assert payload["error"] == "timeout"
+
+
+class TestDeepProgressIsolation:
+    def test_other_threads_events_are_neither_recorded_nor_checked(
+        self, service, small_instance, monkeypatch
+    ):
+        # The deep job's stream is process-global while installed: a
+        # concurrent job's heartbeat must not land in the deep job's log,
+        # nor raise the deep job's cancellation on the other thread.
+        job = Job("job-deep", "plan", fn=lambda ctx: None)
+        foreign_errors = []
+
+        def _foreign_heartbeat():
+            try:
+                current_events().emit("builder.progress", transfers=512)
+            except BaseException as exc:  # noqa: BLE001 - recorded
+                foreign_errors.append(exc)
+
+        class _Pipeline:
+            def run(self, instance, rng=None):
+                current_events().emit("builder.progress", transfers=256)
+                job.cancel_event.set()
+                other = threading.Thread(target=_foreign_heartbeat)
+                other.start()
+                other.join()
+                return Schedule()
+
+        monkeypatch.setattr(
+            "repro.serve.service.build_pipeline", lambda spec: _Pipeline()
+        )
+        request = SimpleNamespace(pipeline=PIPELINE, shards=None, seed=0)
+        service._build_schedule(JobContext(job), request, small_instance)
+        assert foreign_errors == []
+        progress = [
+            event.attrs["transfers"]
+            for event in job.stream.events
+            if event.name == "builder.progress"
+        ]
+        assert progress == [256]
