@@ -10,12 +10,14 @@ this script puts a number on it. Three planning tiers are timed —
 * ``sharded`` — ``plan_sharded`` over a shard-bench medium composed
   instance (8 blocks of 25x250);
 
-each under three configurations, interleaved per round so clock drift
-and cache warmth cancel out:
+each under three configurations, interleaved per round in an order that
+rotates from round to round, so clock drift and cache warmth do not
+always favour the same configuration:
 
 * ``disabled`` — no observability context at all (the production path);
 * ``null``     — :data:`repro.obs.NULL_TRACER` explicitly installed,
-  metrics/events off: must be indistinguishable from ``disabled``;
+  metrics/events off. An empty context already reads as
+  ``NULL_TRACER``, so this runs exactly the ``disabled`` code;
 * ``full``     — live :class:`~repro.obs.Tracer`,
   :class:`~repro.obs.MetricsRegistry` and
   :class:`~repro.obs.EventStream`, with Prometheus and OTLP export of
@@ -23,9 +25,12 @@ and cache warmth cancel out:
 
 Reported per tier (written to ``benchmarks/results/BENCH_obs.json``):
 
-* ``disabled_ratio`` = median(null) / median(disabled) — the cost of
-  the disabled instrumentation path; the obs-smoke CI job flags > 1.05
-  on the ``direct`` tier;
+* ``disabled_ratio`` = median(null) / median(disabled). Both configs
+  run the same path, so this is a noise-floor check: it reads how far
+  two medians of identical work drift apart on the host, and the
+  obs-smoke CI job flags > 1.05 on the ``direct`` tier. The cost of
+  the disabled instrumentation itself is structural (one ``is None``
+  check per captured instrument) and does not show at this resolution;
 * ``full_ratio`` = median(full) / median(disabled) — events + export
   overhead; the budget is <= 1.10 on the medium tiers (telemetry, not
   gated in CI: hosted-runner timing is too noisy).
@@ -116,6 +121,11 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
+def _timed_null(fn) -> float:
+    with use_tracer(NULL_TRACER):
+        return _timed(fn)
+
+
 def _timed_full(fn) -> float:
     """One fully-observed run: record everything, then export it."""
     tracer = Tracer()
@@ -132,17 +142,19 @@ def _timed_full(fn) -> float:
     return time.perf_counter() - start
 
 
+TIMERS = {"disabled": _timed, "null": _timed_null, "full": _timed_full}
+
+
 def measure_tier(name: str, rounds: int, seed: int = 0):
     factory, default_rounds = TIERS[name]
     rounds = rounds or default_rounds
     fn, info = factory(seed)
     fn()  # warm-up (touches caches, materializes lazy state)
     samples = {config: [] for config in CONFIGS}
-    for _ in range(rounds):
-        samples["disabled"].append(_timed(fn))
-        with use_tracer(NULL_TRACER):
-            samples["null"].append(_timed(fn))
-        samples["full"].append(_timed_full(fn))
+    for round_index in range(rounds):
+        shift = round_index % len(CONFIGS)
+        for config in CONFIGS[shift:] + CONFIGS[:shift]:
+            samples[config].append(TIMERS[config](fn))
     medians = {k: statistics.median(v) for k, v in samples.items()}
     return {
         "tier": name,

@@ -77,20 +77,19 @@ class Pipeline:
         return schedule
 
     def run_with_stats(
-        self, instance: RtspInstance, rng=None, tracer=None
+        self, instance: RtspInstance, rng=None
     ) -> Tuple[Schedule, List[StageResult]]:
         """Like :meth:`run` but also records per-stage metrics and timing.
 
-        ``tracer`` defaults to the active one (see
-        :func:`repro.obs.context.current_tracer`); each stage runs inside a
+        Under the active tracer (see
+        :func:`repro.obs.context.current_tracer`) each stage runs inside a
         ``"stage"`` span annotated with the schedule metrics, and — when a
         metrics registry is active — its counter deltas land both on the
         returned :class:`StageResult` and in ``stage.<name>.seconds``
         histograms.
         """
         gen = ensure_rng(rng)
-        if tracer is None:
-            tracer = current_tracer()
+        tracer = current_tracer()
         registry = current_metrics()
         watch = StageProfiler()
         stats: List[StageResult] = []

@@ -23,9 +23,7 @@ import numpy as np
 from repro.analysis.metrics import schedule_stats
 from repro.core.pipeline import build_pipeline
 from repro.experiments.config import ExperimentScale, FigureSpec
-from repro.obs.context import current_events, current_metrics, current_tracer
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.context import current_metrics, current_tracer
 from repro.shard.pool import WorkQueue
 from repro.timing.bandwidth import bandwidths_from_costs
 from repro.timing.executor import simulate_parallel
@@ -145,8 +143,6 @@ def _run_figure_tasks(
     reps: int,
     progress: Optional[Callable[[str], None]],
     workers: int,
-    metrics: Optional[MetricsRegistry],
-    tracer: Optional[Tracer],
 ) -> FigureResult:
     """Run the ``(x, repetition)`` grid as independent cell tasks.
 
@@ -162,14 +158,7 @@ def _run_figure_tasks(
     t_start = time.perf_counter()
     tasks = [(x, rep) for x in spec.x_values for rep in range(reps)]
     queue = WorkQueue(workers=workers, progress=progress)
-    outputs = queue.run(
-        _cell_task,
-        tasks,
-        context=(spec, scale),
-        metrics=metrics,
-        tracer=tracer,
-        events=current_events(),
-    )
+    outputs = queue.run(_cell_task, tasks, context=(spec, scale))
     by_cell: Dict[Tuple[float, int], Dict[str, Tuple[float, float]]] = {}
     for x, rep, out in outputs:
         by_cell[(x, rep)] = out
@@ -190,6 +179,7 @@ def _run_figure_tasks(
                     f"mean={cell.mean:.6g} ({cell.seconds:.1f}s)"
                 )
     result.seconds = time.perf_counter() - t_start
+    metrics = current_metrics()
     if metrics is not None:
         result.metrics = metrics.snapshot()
     return result
@@ -201,8 +191,6 @@ def run_figure(
     repetitions: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
     workers: Optional[int] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
 ) -> FigureResult:
     """Run every cell of ``spec`` at ``scale``.
 
@@ -214,34 +202,22 @@ def run_figure(
     serial execution, emitting a :class:`RuntimeWarning` and a ``progress``
     line so the degradation is visible.
 
-    ``metrics`` / ``tracer`` default to the active observability context
-    (:func:`~repro.obs.context.current_metrics` /
-    :func:`~repro.obs.context.current_tracer`). When either is live, every
-    repetition records into its own fragment — also on pool workers, whose
-    snapshots used to be dropped — and the merged totals land in
-    ``FigureResult.metrics`` / the tracer, identically for any ``workers``
-    value.
+    The active observability context (:mod:`repro.obs.context`) is
+    honoured: when a metrics registry or an enabled tracer is installed,
+    every repetition records into its own fragment — also on pool
+    workers — and the merged totals land in ``FigureResult.metrics`` /
+    the tracer, identically for any ``workers`` value.
     """
     reps = repetitions if repetitions is not None else scale.repetitions
-    if metrics is None:
-        metrics = current_metrics()
-    if tracer is None:
-        active = current_tracer()
-        tracer = active if getattr(active, "enabled", False) else None
-    elif not getattr(tracer, "enabled", False):
-        tracer = None
-    obs_active = metrics is not None or tracer is not None
     if workers is not None and workers > 1:
         # The work queue owns the spawn-only fallback: without a usable
         # ``fork`` start method it warns ("falling back to serial"),
         # tells ``progress``, and runs the same tasks in-process.
-        return _run_figure_tasks(
-            spec, scale, reps, progress, workers, metrics, tracer
-        )
-    if obs_active:
+        return _run_figure_tasks(spec, scale, reps, progress, workers)
+    if current_metrics() is not None or current_tracer().enabled:
         # Same task loop as the pool path, run in-process: fragments merge
         # in the same order, so totals match any workers value exactly.
-        return _run_figure_tasks(spec, scale, reps, progress, 1, metrics, tracer)
+        return _run_figure_tasks(spec, scale, reps, progress, 1)
     pipelines = {name: build_pipeline(name) for name in spec.pipelines}
     result = FigureResult(spec=spec, scale=scale)
     t_start = time.perf_counter()

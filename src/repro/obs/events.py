@@ -97,7 +97,10 @@ class Event:
 class EventStream:
     """Append-only event recorder with deterministic sequence numbers.
 
-    Not thread-safe: one stream belongs to one (worker) process. For
+    Not thread-safe: one stream is written by the thread (or the fork
+    worker) whose observability context holds it, and the context is
+    per thread (:mod:`repro.obs.context`), so a thread that did not
+    install the stream cannot reach it through the context. For
     parallel runs each worker records into a fresh stream and the
     parent merges the fragments with :meth:`adopt` in deterministic
     task order, so the merged logical stream is independent of worker

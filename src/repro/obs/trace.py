@@ -110,11 +110,14 @@ class _SpanContext:
 class Tracer:
     """Collects spans; export via :meth:`write_jsonl` / :meth:`write_chrome`.
 
-    Not thread-safe: one tracer belongs to one (worker) process. For
-    parallel runs each worker records into a fresh tracer and the parent
-    stitches the fragments together with :meth:`adopt`, in deterministic
-    task order, so the merged logical timeline is independent of worker
-    count.
+    Not thread-safe: one tracer is written by the thread (or the fork
+    worker) whose observability context holds it, and the context is
+    per thread (:mod:`repro.obs.context`), so a thread that did not
+    install the tracer cannot reach it through the context. For
+    parallel runs each worker records into a fresh tracer and the
+    parent stitches the fragments together with :meth:`adopt`, in
+    deterministic task order, so the merged logical timeline is
+    independent of worker count.
     """
 
     enabled = True
@@ -406,7 +409,8 @@ class NullTracer:
         return "NullTracer()"
 
 
-#: The process-wide default tracer (see :mod:`repro.obs.context`).
+#: The shared disabled tracer: what :func:`repro.obs.context.current_tracer`
+#: returns when no tracer is installed.
 NULL_TRACER = NullTracer()
 
 

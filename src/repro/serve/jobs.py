@@ -172,19 +172,6 @@ class JobContext:
         self.job.record(name, **attrs)
         self.check()
 
-    def checkpoint_hook(self) -> Callable[[Any], None]:
-        """An ``on_event`` hook turning every event into a checkpoint.
-
-        Install on an :class:`~repro.obs.events.EventStream` that deep
-        instrumentation writes to, so builder-wave heartbeats double as
-        cancellation points.
-        """
-
-        def _hook(_event: Any) -> None:
-            self.check()
-
-        return _hook
-
 
 class JobQueue:
     """FIFO queue drained by a fixed pool of daemon worker threads."""

@@ -15,28 +15,27 @@ or not (sharded planning is itself byte-identical to direct planning
 per part-count, see :mod:`repro.shard`). The differential tests in
 ``tests/serve/`` enforce this.
 
-Deep progress: at most one running job at a time additionally installs
-its progress stream as the process-global observability context (the
-context is deliberately a plain global, see :mod:`repro.obs.context`),
-so builder-wave heartbeats and shard completions flow into the job's
-``rtsp-events/1`` stream — and every such event doubles as a
-cancellation/timeout checkpoint. Concurrent jobs still plan correctly;
-they just report coarser (job-level) progress.
+Instruments: every job runs under its own observability context
+(:mod:`repro.obs.context` is per thread, so concurrent jobs never see
+each other's). Its event stream copies builder-wave heartbeats and
+shard completions into the job's ``rtsp-events/1`` log, and every such
+event doubles as a cancellation/timeout checkpoint. Its fresh metrics
+registry is merged into the service registry (served at ``/metrics``)
+when the job ends, however it ends.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.metrics import schedule_stats
 from repro.core.pipeline import build_pipeline
 from repro.io import fault_plan_from_dict, schedule_from_dict, schedule_to_dict
 from repro.model.instance import RtspInstance
-from repro.obs.context import use_events, use_metrics
+from repro.obs.context import observed
 from repro.obs.events import EventStream
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import MetricsRegistry
@@ -47,6 +46,7 @@ from repro.serve.cache import (
 )
 from repro.serve.jobs import (
     DONE,
+    Job,
     JobCancelled,
     JobContext,
     JobNotFound,
@@ -100,8 +100,6 @@ class ServeConfig:
     default_timeout: Optional[float] = None
     #: Reject request bodies larger than this (transport-enforced).
     max_body_bytes: int = 64 * 1024 * 1024
-    #: Allow one job at a time to install deep (builder-level) progress.
-    deep_progress: bool = True
     #: Cost-matrix spill policy (see :class:`CostMatrixStore`).
     spill: object = "auto"
 
@@ -147,7 +145,6 @@ class PlanningService:
         )
         self.metrics = MetricsRegistry()
         self._mlock = threading.Lock()
-        self._deep_lock = threading.Lock()
         self._started = time.monotonic()
 
     # ------------------------------------------------------------------
@@ -165,8 +162,8 @@ class PlanningService:
         self.close()
 
     # ------------------------------------------------------------------
-    # metrics helpers (serve-side instruments share the registry with
-    # builder-side deep instrumentation; guard our own bumps)
+    # metrics helpers (handler threads and finishing jobs all write the
+    # service registry; every write holds _mlock)
     # ------------------------------------------------------------------
     def _count(self, name: str, n: float = 1) -> None:
         with self._mlock:
@@ -175,6 +172,37 @@ class PlanningService:
     def _observe_ms(self, name: str, seconds: float) -> None:
         with self._mlock:
             self.metrics.histogram(name).observe(seconds * 1000.0)
+
+    # ------------------------------------------------------------------
+    # job submission
+    # ------------------------------------------------------------------
+    def _submit(
+        self,
+        fn: Callable[[JobContext], Any],
+        kind: str,
+        timeout_seconds: Optional[float],
+        meta: Dict[str, Any],
+    ) -> Job:
+        """Queue ``fn`` to run under the job's own instruments."""
+
+        def run(ctx: JobContext) -> Any:
+            registry = MetricsRegistry()
+            stream = EventStream(
+                meta={"job": ctx.job.id},
+                on_event=lambda event: ctx.emit(event.name, **event.attrs),
+            )
+            try:
+                with observed(metrics=registry, events=stream):
+                    return fn(ctx)
+            finally:
+                with self._mlock:
+                    self.metrics.merge(registry.snapshot())
+
+        job = self.queue.submit(
+            run, kind=kind, timeout_seconds=timeout_seconds, meta=meta
+        )
+        self._count("serve.jobs.submitted")
+        return job
 
     # ------------------------------------------------------------------
     # POST /v1/plan
@@ -229,7 +257,7 @@ class PlanningService:
             if request.timeout_seconds is not None
             else self.config.default_timeout
         )
-        job = self.queue.submit(
+        job = self._submit(
             lambda ctx: self._run_plan(
                 ctx, request, instance, fingerprint, topo_key, key
             ),
@@ -237,7 +265,6 @@ class PlanningService:
             timeout_seconds=timeout,
             meta={"pipeline": request.pipeline, "seed": request.seed},
         )
-        self._count("serve.jobs.submitted")
         if request.mode == "async":
             return 202, job.snapshot()
         job.wait()
@@ -309,7 +336,7 @@ class PlanningService:
             objects=instance.num_objects,
             shards=request.shards or 0,
         )
-        schedule = self._build_schedule(ctx, request, instance)
+        schedule = self._build_schedule(request, instance)
         ctx.check()
         self._validate_schedule(request.validate, instance, schedule)
         stats = schedule_stats(schedule, instance)
@@ -339,50 +366,21 @@ class PlanningService:
         self.plan_cache.put(key, payload)
         return payload
 
-    def _build_schedule(
-        self, ctx: JobContext, request: PlanRequest, instance: RtspInstance
-    ):
-        deep = self.config.deep_progress and self._deep_lock.acquire(
-            blocking=False
-        )
-        try:
-            with ExitStack() as stack:
-                if deep:
-                    # Builder heartbeats land on the job stream and act
-                    # as cancellation checkpoints. One deep job at a
-                    # time: the obs context is process-global, so events
-                    # that other jobs' threads emit into it are dropped
-                    # rather than recorded and checked against this job.
-                    owner = threading.get_ident()
+    @staticmethod
+    def _build_schedule(request: PlanRequest, instance: RtspInstance):
+        if request.shards is not None:
+            from repro.shard import plan_sharded
 
-                    def _forward(event: Any) -> None:
-                        if threading.get_ident() != owner:
-                            return
-                        ctx.job.record(event.name, **event.attrs)
-                        ctx.check()
-
-                    deep_stream = EventStream(
-                        meta={"job": ctx.job.id}, on_event=_forward
-                    )
-                    stack.enter_context(use_events(deep_stream))
-                    stack.enter_context(use_metrics(self.metrics))
-                if request.shards is not None:
-                    from repro.shard import plan_sharded
-
-                    plan = plan_sharded(
-                        instance,
-                        request.pipeline,
-                        shards=request.shards,
-                        workers=1,
-                        rng=request.seed,
-                        mmap_costs=False,
-                    )
-                    return plan.schedule
-                pipeline = build_pipeline(request.pipeline)
-                return pipeline.run(instance, rng=request.seed)
-        finally:
-            if deep:
-                self._deep_lock.release()
+            plan = plan_sharded(
+                instance,
+                request.pipeline,
+                shards=request.shards,
+                workers=1,
+                rng=request.seed,
+                mmap_costs=False,
+            )
+            return plan.schedule
+        return build_pipeline(request.pipeline).run(instance, rng=request.seed)
 
     @staticmethod
     def _validate_schedule(mode: Optional[str], instance, schedule) -> None:
@@ -460,13 +458,12 @@ class PlanningService:
             return self._error(exc)
         job = None
         try:
-            job = self.queue.submit(
+            job = self._submit(
                 lambda ctx: self._run_repair(ctx, request, plan),
                 kind="repair",
                 timeout_seconds=self.config.default_timeout,
                 meta={"pipeline": request.pipeline},
             )
-            self._count("serve.jobs.submitted")
             job.wait()
         except BaseException as exc:  # noqa: BLE001 - mapped to a status
             return self._error(exc)
@@ -547,16 +544,7 @@ class PlanningService:
     def metrics_text(self) -> str:
         """Prometheus text exposition of the service registry."""
         self._count("serve.requests.metrics")
-        # A deep-instrumented job may be registering instruments while
-        # we snapshot; registries are plain dicts, so retry the rare
-        # changed-size race instead of locking the builder hot path.
-        for _ in range(5):
-            try:
-                snapshot = self.metrics.snapshot()
-                break
-            except RuntimeError:  # pragma: no cover - timing-dependent
-                continue
-        else:  # pragma: no cover - timing-dependent
+        with self._mlock:
             snapshot = self.metrics.snapshot()
         return prometheus_text(snapshot)
 

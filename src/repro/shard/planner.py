@@ -417,14 +417,7 @@ def _plan_partitioned(
     queue = WorkQueue(workers=workers, progress=progress)
     try:
         with tracer.span("shard.pool", bins=len(bins), workers=workers):
-            bin_results = queue.run(
-                _plan_bin,
-                bins,
-                context=context,
-                metrics=registry,
-                tracer=tracer if getattr(tracer, "enabled", False) else None,
-                events=stream,
-            )
+            bin_results = queue.run(_plan_bin, bins, context=context)
     finally:
         store.close()
 

@@ -7,14 +7,17 @@ library shares (figure repetitions, shard planning):
 * tasks are mapped over a fork-based :class:`~concurrent.futures.
   ProcessPoolExecutor`, with results returned in **input order** so any
   downstream merge is independent of scheduling;
-* the callable and its context are installed in a module global just
-  before the pool starts (fork workers inherit them), so closures over
-  non-picklable state never cross a pickle boundary;
-* when an observability registry/tracer/event stream is supplied, every
-  task records into *fresh* fragments whose snapshots are merged back in
-  task order — counter totals, the logical trace stream and the logical
-  event stream are identical for any worker count (the PR 4 contract);
-* when the supplied tracer has an open span (e.g. ``plan_sharded``'s
+* the callable and its context reach fork workers through the pool's
+  initializer (fork inherits the arguments, nothing is pickled), so
+  closures over non-picklable state never cross a pickle boundary; the
+  serial path hands them to each task directly, so concurrent callers
+  in one process share nothing;
+* when the caller's observability context holds a registry, an enabled
+  tracer or an event stream, every task records into *fresh* fragments
+  whose snapshots are merged back in task order — counter totals, the
+  logical trace stream and the logical event stream are identical for
+  any worker count;
+* when that tracer has an open span (e.g. ``plan_sharded``'s
   ``shard.pool`` span), adopted worker fragments are re-parented under
   it, so cross-process spans nest in the merged tree instead of
   becoming disconnected roots;
@@ -31,7 +34,12 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.obs.context import observed
+from repro.obs.context import (
+    current_events,
+    current_metrics,
+    current_tracer,
+    observed,
+)
 from repro.obs.events import Event, EventStream
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer
@@ -56,19 +64,32 @@ def fork_available() -> bool:
     return True
 
 
-#: Installed immediately before the pool forks; inherited by workers so
-#: the task function and its context never need to be pickled.
-_WORKER_STATE: Optional[Tuple[Callable[..., Any], Any, bool, bool, bool]] = None
+#: ``(fn, context, want_metrics, want_trace, want_events)``.
+_TaskState = Tuple[Callable[..., Any], Any, bool, bool, bool]
+
+#: The task state inside a fork-pool child (set by :func:`_install`).
+_WORKER_STATE: Optional[_TaskState] = None
 
 TaskOutput = Tuple[
     Any, Optional[dict], Optional[List[Span]], Optional[List[Event]]
 ]
 
 
+def _install(state: _TaskState) -> None:
+    """Fork-pool initializer: keep the task state for :func:`_run_one`."""
+    global _WORKER_STATE
+    _WORKER_STATE = state
+
+
 def _run_one(task: Any) -> TaskOutput:
-    """Execute one task under :data:`_WORKER_STATE` with fresh fragments."""
+    """Fork-pool entry point: one task under the installed state."""
     assert _WORKER_STATE is not None, "WorkQueue worker state not installed"
-    fn, context, want_metrics, want_trace, want_events = _WORKER_STATE
+    return _run_task(_WORKER_STATE, task)
+
+
+def _run_task(state: _TaskState, task: Any) -> TaskOutput:
+    """Execute one task with fresh instrument fragments."""
+    fn, context, want_metrics, want_trace, want_events = state
     registry = MetricsRegistry() if want_metrics else None
     tracer = Tracer() if want_trace else None
     stream = EventStream() if want_events else None
@@ -106,30 +127,30 @@ class WorkQueue:
         fn: Callable[[Any, Any], Any],
         tasks: Sequence[Any],
         context: Any = None,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        events: Optional[EventStream] = None,
     ) -> List[Any]:
         """Map ``fn(context, task)`` over ``tasks`` in input order.
 
-        ``fn`` must be a module-level callable (workers resolve it
-        through the inherited module state, not a pickle). When
-        ``metrics``/``tracer``/``events`` are supplied, each task runs
-        inside a fresh fragment — also on the serial path, so totals
-        never depend on the worker count — and the fragments are merged
-        into the supplied instruments in task order. Trace fragments
-        are re-parented under the tracer's innermost open span (if
-        any), so worker spans nest under the coordinating span in the
-        merged tree.
+        ``fn`` must be a module-level callable (fork workers inherit it
+        with the task state, never through a pickle). The instruments
+        installed in the caller's observability context
+        (:mod:`repro.obs.context`) are honoured: each task runs inside
+        fresh fragments — also on the serial path, so totals never
+        depend on the worker count — and the fragments are merged into
+        the caller's registry, tracer and event stream in task order.
+        Trace fragments are re-parented under the tracer's innermost
+        open span (if any), so worker spans nest under the coordinating
+        span in the merged tree.
         """
-        global _WORKER_STATE
         tasks = list(tasks)
         if not tasks:
             return []
-        want_metrics = metrics is not None
-        want_trace = tracer is not None and getattr(tracer, "enabled", False)
-        want_events = events is not None
-        state = (fn, context, want_metrics, want_trace, want_events)
+        metrics = current_metrics()
+        tracer = current_tracer()
+        events = current_events()
+        state: _TaskState = (
+            fn, context, metrics is not None, tracer.enabled,
+            events is not None,
+        )
         workers = min(self.workers, len(tasks))
         if workers > 1 and not fork_available():
             message = (
@@ -142,22 +163,15 @@ class WorkQueue:
                 self.progress(message)
             workers = 1
         if workers > 1:
-            ctx = multiprocessing.get_context("fork")
-            _WORKER_STATE = state
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=workers, mp_context=ctx
-                ) as pool:
-                    outputs = list(pool.map(_run_one, tasks))
-            finally:
-                _WORKER_STATE = None
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_install,
+                initargs=(state,),
+            ) as pool:
+                outputs = list(pool.map(_run_one, tasks))
         else:
-            previous = _WORKER_STATE
-            _WORKER_STATE = state
-            try:
-                outputs = [_run_one(task) for task in tasks]
-            finally:
-                _WORKER_STATE = previous
+            outputs = [_run_task(state, task) for task in tasks]
         results: List[Any] = []
         # Merge fragments in task order — pool.map preserves input
         # order, so the merged stream is independent of scheduling.
@@ -165,17 +179,14 @@ class WorkQueue:
         # span (the coordinating span, e.g. plan_sharded's shard.pool);
         # the link is identical on the serial path, so the merged tree
         # never depends on the worker count.
-        # getattr: callers may pass duck-typed disabled tracers that
-        # predate current_span (NullTracer returns None anyway).
-        current_span = getattr(tracer, "current_span", None)
-        open_span = current_span() if current_span is not None else None
+        open_span = tracer.current_span() if tracer.enabled else None
         parent_id = open_span.span_id if open_span is not None else None
         for result, snapshot, spans, task_events in outputs:
             results.append(result)
-            if snapshot is not None and metrics is not None:
+            if snapshot is not None:
                 metrics.merge(snapshot)
-            if spans is not None and tracer is not None:
+            if spans is not None:
                 tracer.adopt(spans, parent_id=parent_id)
-            if task_events is not None and events is not None:
+            if task_events is not None:
                 events.adopt(task_events)
         return results

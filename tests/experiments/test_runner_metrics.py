@@ -25,7 +25,8 @@ _KEY_COUNTERS = (
 
 def _counters(workers):
     metrics = MetricsRegistry()
-    run_figure(tiny_spec(), TINY, metrics=metrics, workers=workers)
+    with observed(metrics=metrics):
+        run_figure(tiny_spec(), TINY, workers=workers)
     return metrics.counter_values()
 
 
@@ -42,7 +43,8 @@ class TestWorkerMetricsAggregation:
 
     def test_result_carries_metrics_snapshot(self):
         metrics = MetricsRegistry()
-        result = run_figure(tiny_spec(), TINY, metrics=metrics, workers=2)
+        with observed(metrics=metrics):
+            result = run_figure(tiny_spec(), TINY, workers=2)
         assert result.metrics is not None
         assert result.metrics["format"] == "rtsp-metrics/1"
         assert result.metrics["counters"] == metrics.counter_values()
@@ -56,9 +58,8 @@ class TestWorkerMetricsAggregation:
 
     def test_observed_values_match_unobserved(self):
         plain = run_figure(tiny_spec(), TINY)
-        observed_run = run_figure(
-            tiny_spec(), TINY, metrics=MetricsRegistry(), tracer=Tracer()
-        )
+        with observed(tracer=Tracer(), metrics=MetricsRegistry()):
+            observed_run = run_figure(tiny_spec(), TINY)
         for a, b in zip(plain.cells, observed_run.cells):
             assert (a.x, a.pipeline, a.values) == (b.x, b.pipeline, b.values)
 
@@ -75,7 +76,8 @@ class TestWorkerMetricsAggregation:
 class TestTraceAggregation:
     def test_trace_spans_cover_grid(self):
         tracer = Tracer()
-        run_figure(tiny_spec(), TINY, tracer=tracer)
+        with observed(tracer=tracer):
+            run_figure(tiny_spec(), TINY)
         reps = [s for s in tracer.spans if s.name == "repetition"]
         cells = [s for s in tracer.spans if s.name == "cell"]
         sims = [s for s in tracer.spans if s.name == "simulate"]
@@ -87,13 +89,15 @@ class TestTraceAggregation:
         streams = []
         for workers in (None, 2):
             tracer = Tracer()
-            run_figure(tiny_spec(), TINY, tracer=tracer, workers=workers)
+            with observed(tracer=tracer):
+                run_figure(tiny_spec(), TINY, workers=workers)
             streams.append(tracer.logical_lines())
         assert streams[0] == streams[1]
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_span_ids_unique_after_merge(self, workers):
         tracer = Tracer()
-        run_figure(tiny_spec(), TINY, tracer=tracer, workers=workers)
+        with observed(tracer=tracer):
+            run_figure(tiny_spec(), TINY, workers=workers)
         ids = [s.span_id for s in tracer.spans]
         assert len(set(ids)) == len(ids)

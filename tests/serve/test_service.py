@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
 from repro.core import build_pipeline
 from repro.io import instance_to_dict, schedule_to_dict
 from repro.model.schedule import Schedule
-from repro.obs.context import current_events
-from repro.serve import ServeConfig, PlanningService
+from repro.obs.context import current_events, use_events
+from repro.obs.events import EventStream
+from repro.serve import ServeConfig, PlanningService, canonical_json
 from repro.serve.cache import topology_hash
-from repro.serve.jobs import Job, JobContext
+from repro.shard import compose_instances, plan_sharded
+from repro.workloads import paper_instance
 from repro.serve.schemas import (
     BATCH_REQUEST_FORMAT,
     BATCH_RESPONSE_FORMAT,
@@ -405,36 +406,135 @@ class TestDeepProgressIsolation:
     def test_other_threads_events_are_neither_recorded_nor_checked(
         self, service, small_instance, monkeypatch
     ):
-        # The deep job's stream is process-global while installed: a
-        # concurrent job's heartbeat must not land in the deep job's log,
-        # nor raise the deep job's cancellation on the other thread.
-        job = Job("job-deep", "plan", fn=lambda ctx: None)
+        # The job's instruments live in its own thread's context: a
+        # thread it starts sees no event stream at all, so nothing it
+        # does can land in the job's log or raise the job's cancellation.
+        foreign_streams = []
         foreign_errors = []
 
         def _foreign_heartbeat():
             try:
-                current_events().emit("builder.progress", transfers=512)
+                foreign_streams.append(current_events())
             except BaseException as exc:  # noqa: BLE001 - recorded
                 foreign_errors.append(exc)
 
         class _Pipeline:
             def run(self, instance, rng=None):
-                current_events().emit("builder.progress", transfers=256)
-                job.cancel_event.set()
+                stream = current_events()
+                stream.emit("builder.progress", transfers=256)
+                service.queue.get(stream.meta["job"]).cancel_event.set()
                 other = threading.Thread(target=_foreign_heartbeat)
                 other.start()
-                other.join()
+                other.join(timeout=10)
+                assert not other.is_alive()
                 return Schedule()
 
         monkeypatch.setattr(
             "repro.serve.service.build_pipeline", lambda spec: _Pipeline()
         )
-        request = SimpleNamespace(pipeline=PIPELINE, shards=None, seed=0)
-        service._build_schedule(JobContext(job), request, small_instance)
+        status, payload = service.plan(
+            plan_payload(small_instance, mode="async")
+        )
+        assert status == 202
+        assert wait_terminal(service, payload["id"])["state"] == "cancelled"
+        assert foreign_streams == [None]
         assert foreign_errors == []
         progress = [
             event.attrs["transfers"]
-            for event in job.stream.events
+            for event in service.queue.get(payload["id"]).stream.events
             if event.name == "builder.progress"
         ]
         assert progress == [256]
+
+
+def _builder_events(events):
+    return [
+        (event.name, event.attrs)
+        for event in events
+        if event.name.startswith("builder.")
+    ]
+
+
+class TestPerJobInstruments:
+    def test_concurrent_sharded_sync_plans_match_in_process(self):
+        instances = [
+            compose_instances(
+                [paper_instance(2, 8, 30, rng=b) for b in range(blocks)]
+            )
+            for blocks in (4, 3)
+        ]
+        requests = [(inst, seed) for inst in instances for seed in (1, 2)]
+        expected = [
+            canonical_json(
+                schedule_to_dict(
+                    plan_sharded(
+                        inst, PIPELINE, shards=4, workers=1, rng=seed
+                    ).schedule
+                )
+            )
+            for inst, seed in requests
+        ]
+        responses = [None] * len(requests)
+        start = threading.Barrier(len(requests))
+
+        def _plan(slot, inst, seed):
+            start.wait(timeout=30)
+            responses[slot] = service.plan(
+                plan_payload(inst, seed=seed, shards=4)
+            )
+
+        with PlanningService(ServeConfig(workers=2)) as service:
+            threads = [
+                threading.Thread(target=_plan, args=(slot, *request))
+                for slot, request in enumerate(requests)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        for (status, payload), want in zip(responses, expected):
+            assert status == 200, payload
+            assert canonical_json(payload["schedule"]) == want
+
+    def test_concurrent_jobs_each_get_their_own_progress(self):
+        # Two paper-sized jobs run at once; one is cancelled mid-build.
+        # Each job log carries exactly its own builder events: those of
+        # an in-process run of the same instance and seed (a prefix of
+        # them for the cancelled job, which stops at its next event).
+        pipeline = "GOLCF+H1+H2+OP1"
+        runs = [
+            (paper_instance(2, 50, 500, rng=seed), seed) for seed in (0, 1)
+        ]
+        references = []
+        for inst, seed in runs:
+            stream = EventStream()
+            with use_events(stream):
+                build_pipeline(pipeline).run(inst, rng=seed)
+            references.append(_builder_events(stream.events))
+        with PlanningService(ServeConfig(workers=2)) as service:
+            ids = []
+            for inst, seed in runs:
+                status, payload = service.plan(
+                    plan_payload(
+                        inst, pipeline=pipeline, seed=seed, mode="async"
+                    )
+                )
+                assert status == 202
+                ids.append(payload["id"])
+            victim, survivor = (service.queue.get(i) for i in ids)
+            deadline = time.monotonic() + 30
+            while not any(
+                e["name"] == "builder.progress" for e in victim.events_since()
+            ):
+                assert time.monotonic() < deadline, "no builder progress"
+                time.sleep(0.001)
+            assert service.cancel_job(victim.id)[0] == 202
+            assert wait_terminal(service, victim.id)["state"] == "cancelled"
+            assert wait_terminal(service, survivor.id, 60)["state"] == "done"
+        cancelled = _builder_events(victim.stream.events)
+        done = _builder_events(survivor.stream.events)
+        assert any(name == "builder.progress" for name, _ in cancelled)
+        assert any(name == "builder.progress" for name, _ in done)
+        assert cancelled == references[0][: len(cancelled)]
+        assert done == references[1]

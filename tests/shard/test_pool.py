@@ -4,7 +4,7 @@ import multiprocessing
 
 import pytest
 
-from repro.obs.context import current_metrics, current_tracer
+from repro.obs.context import current_metrics, current_tracer, observed
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.shard.pool import WorkQueue, fork_available
@@ -44,12 +44,8 @@ class TestObservabilityMerge:
     def test_fragments_merge_identically(self, workers):
         registry = MetricsRegistry()
         tracer = Tracer()
-        WorkQueue(workers=workers).run(
-            _observed_square,
-            list(range(5)),
-            metrics=registry,
-            tracer=tracer,
-        )
+        with observed(tracer=tracer, metrics=registry):
+            WorkQueue(workers=workers).run(_observed_square, list(range(5)))
         assert registry.counter_values()["tasks"] == 5
         assert [s.attrs["n"] for s in tracer.spans] == list(range(5))
 
@@ -59,9 +55,8 @@ class TestObservabilityMerge:
             spans = []
 
         registry = MetricsRegistry()
-        WorkQueue(workers=1).run(
-            _square, [1, 2], metrics=registry, tracer=Disabled()
-        )
+        with observed(tracer=Disabled(), metrics=registry):
+            WorkQueue(workers=1).run(_square, [1, 2])
         assert Disabled.spans == []
 
 
